@@ -79,7 +79,7 @@ func perf() {
 		res.BytesPerStep = round1(res.BytesPerStep)
 		entries = append(entries, benchEntry{
 			Date:          time.Now().UTC().Format("2006-01-02"),
-			Engine:        "calendar",
+			Engine:        "calendar-fixed-point",
 			CPU:           cpuModel(),
 			SimPerfResult: res,
 		})

@@ -67,7 +67,7 @@ func main() {
 	failuresPath := flag.String("failures", "", "node fail-stop/recovery schedule (JSON lines: {\"at_ns\",\"node\",\"kind\"}); empty disables")
 	runs := flag.Int("runs", 1, "independent runs; >1 reports per-run lines plus mean±std aggregates")
 	parallel := flag.Int("parallel", 0, "concurrent runs when -runs > 1 (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "node-table shards per simulated second (0 = auto; forced to 1 inside a multi-run sweep)")
+	shards := flag.Int("shards", 0, "worker shards for the per-node progress loop of -calendar=false (0 = auto; forced to 1 inside a multi-run sweep)")
 	progress := flag.Bool("progress", true, "print a live progress/throughput line on stderr when -runs > 1")
 	eventsOut := flag.String("events", "", "stream structured JSONL events (dr_bid, sim_step) to this file; empty disables")
 	tracePath := flag.String("trace", "", "stream arrivals from a job trace (.csv or .jsonl) instead of the synthetic generator; -util and -scale are ignored")

@@ -9,18 +9,17 @@
 // energy — cannot be asserted bit-exactly over float64 sums: float
 // addition is not associative, so two decompositions of the same
 // physical quantity legitimately differ in their last bits depending on
-// summation order (and the simulator's measurement kernel deliberately
-// re-associates its sum over fixed node blocks). The ledger therefore
-// accounts in integers: power rates are quantized once, at the source,
-// to int64 milliwatts, time advances in int64 milliseconds, and energy
+// summation order. The ledger therefore accounts in integers: power
+// rates are quantized once, at the source, to int64 milliwatts
+// (MilliWatts), time advances in int64 milliseconds, and energy
 // accumulates in int64 microjoules (1 mW·ms = 1 µJ). Integer addition is
 // exact and associative, so the conservation identity holds bit-exactly
 // regardless of call order, shard count, or GOMAXPROCS — any violation
 // is a bookkeeping bug (a double-close, a missed settlement on requeue),
-// which is precisely what the audit exists to catch. Against the
-// simulator's float64 powerIntegral the comparison is ε-bounded instead,
-// with ε dominated by the 0.5 mW-per-job quantization (see
-// IntegralToleranceJ).
+// which is precisely what the audit exists to catch. The simulator
+// measures cluster power as the sum of the very same milliwatt rates it
+// hands the ledger, so its per-second measurements integrate to the
+// ledger's total exactly, to the microjoule.
 //
 // Capacity: int64 microjoules overflow at ~9.2e18 µJ ≈ 9.2e12 J — a
 // 300 MW cluster running for about 8.5 hours, far beyond any simulated
@@ -171,9 +170,11 @@ func (l *Ledger) LastMs() int64 {
 	return l.totalSettledMs
 }
 
-// fixMW quantizes watts to integer milliwatts, rounding to nearest.
-// This is the single point where float power enters integer accounting.
-func fixMW(watts float64) int64 { return int64(math.Round(watts * 1e3)) }
+// MilliWatts quantizes watts to integer milliwatts, rounding to nearest.
+// This is the single point where float power enters integer accounting;
+// callers that sum rates of their own (the simulator's measurement) use
+// it so their sums and the ledger's agree exactly.
+func MilliWatts(watts float64) int64 { return int64(math.Round(watts * 1e3)) }
 
 func (l *Ledger) noteStart(atMs int64) {
 	if !l.started {
@@ -272,7 +273,7 @@ func (l *Ledger) SetPower(h Handle, atMs int64, jobWatts float64, throttled bool
 		l.lateSamples++
 		return
 	}
-	rate := fixMW(jobWatts)
+	rate := MilliWatts(jobWatts)
 	if rate == r.rateMW && throttled == r.throttled {
 		return
 	}
@@ -331,7 +332,7 @@ func (l *Ledger) SetIdle(atMs int64, nodes int, perNodeWatts float64) {
 		l.lateSamples++
 		return
 	}
-	rate := int64(nodes) * fixMW(perNodeWatts)
+	rate := int64(nodes) * MilliWatts(perNodeWatts)
 	l.idleNodes = nodes
 	if rate == l.idleRateMW {
 		return
@@ -456,14 +457,4 @@ func (l *Ledger) SnapshotAt(atMs int64) Snapshot {
 	s.ConservationDeltaMicroJ = s.TotalMicroJ - s.JobsMicroJ - s.IdleMicroJ
 	s.Conserved = s.ConservationDeltaMicroJ == 0 && s.Errors == 0
 	return s
-}
-
-// IntegralToleranceJ bounds the allowed gap between the ledger's total
-// and a float64 power integral over the same interval. Each open
-// account (≤ nodes jobs, plus the idle pool) carries at most 0.5 mW of
-// quantization error, integrated over the full span; the float sum's
-// own rounding is orders of magnitude smaller and is absorbed by the
-// +1 J constant.
-func IntegralToleranceJ(nodes int, seconds float64) float64 {
-	return 0.0005*float64(nodes+1)*seconds + 1
 }

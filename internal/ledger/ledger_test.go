@@ -216,8 +216,8 @@ func TestFixMWRounds(t *testing.T) {
 		w    float64
 		want int64
 	}{{0, 0}, {70, 70_000}, {0.0004, 0}, {0.0006, 1}, {279.9996, 280_000}} {
-		if got := fixMW(tc.w); got != tc.want {
-			t.Errorf("fixMW(%v) = %d, want %d", tc.w, got, tc.want)
+		if got := MilliWatts(tc.w); got != tc.want {
+			t.Errorf("MilliWatts(%v) = %d, want %d", tc.w, got, tc.want)
 		}
 	}
 }

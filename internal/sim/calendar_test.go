@@ -14,127 +14,187 @@ import (
 	"repro/internal/faults"
 	"repro/internal/ledger"
 	"repro/internal/perfmodel"
+	"repro/internal/schedule"
 	"repro/internal/stats"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
-// naiveAdvance is the per-step kernel verbatim: up to n iterations of
-// "if p < 1 { p = fl(p + delta) }", stopping at a crossing or when the
-// addition stops moving p. The closed-form walker must match it bit for
-// bit on every input.
-func naiveAdvance(p, delta float64, n int64) (float64, int64, bool) {
-	var taken int64
-	for taken < n {
-		if p >= 1 {
-			return p, taken, true
-		}
-		next := p + delta
-		if next == p {
-			return p, taken, false
-		}
-		p = next
-		taken++
+// calTestEngine is the least engine calReschedule runs on: one job slot
+// of type typ whose slowest node has coefficient coeff, and a calendar
+// that schedules completions up to maxStep.
+func calTestEngine(typ workload.Type, coeff float64, maxStep int64) *engine {
+	return &engine{
+		jobs:       []runningJob{{id: "j", typ: typ}},
+		order:      []int32{0},
+		cal:        []calJob{{coeff: coeff, due: calNever}},
+		calMaxStep: maxStep,
 	}
-	return p, taken, p >= 1
 }
 
-// TestAdvanceProgressMatchesNaive is the property suite for the calendar's
-// closed-form progress walker: across random starting points and deltas,
-// crafted half-ulp ties (the round-half-to-even case), frozen nodes whose
-// delta rounds away entirely, subnormal-grid deltas, and single-add
-// crossings, advanceProgress must return exactly what the serial loop
-// returns — same bits, same step count, same crossing flag.
-func TestAdvanceProgressMatchesNaive(t *testing.T) {
-	check := func(p, delta float64, n int64) {
-		t.Helper()
-		gp, gt, gc := advanceProgress(p, delta, n)
-		wp, wt, wc := naiveAdvance(p, delta, n)
-		if math.Float64bits(gp) != math.Float64bits(wp) || gt != wt || gc != wc {
-			t.Fatalf("advanceProgress(%v, %v, %d) = (%v, %d, %v), naive loop (%v, %d, %v)",
-				p, delta, n, gp, gt, gc, wp, wt, wc)
+// naiveDue is the per-step kernel's answer to "when does this node
+// finish": from progress p after step t, add delta once per step and
+// return the first step at which progress reaches a whole job, or
+// calNever if that is past maxStep.
+func naiveDue(p, delta uint64, t, maxStep int64) int64 {
+	for s := t + 1; s <= maxStep && delta > 0; s++ {
+		if p += delta; p >= progressOne {
+			return s
 		}
 	}
+	return calNever
+}
 
-	// The closed-form walker must also agree with itself when the step
-	// budget is split — the property that covers step counts far beyond
-	// what the naive loop can replay (a half-ulp delta needs ~2^53 adds to
-	// cross a binade).
-	split := func(p, delta float64, n1, n2 int64) {
-		t.Helper()
-		wp, wt, wc := advanceProgress(p, delta, n1+n2)
-		mid, t1, c1 := advanceProgress(p, delta, n1)
-		gp, gt, gc := mid, t1, c1
-		if !c1 {
-			var t2 int64
-			gp, t2, gc = advanceProgress(mid, delta, n2)
-			gt = t1 + t2
-		}
-		if math.Float64bits(gp) != math.Float64bits(wp) || gt != wt || gc != wc {
-			t.Fatalf("advanceProgress(%v, %v, %d+%d) split = (%v, %d, %v), whole (%v, %d, %v)",
-				p, delta, n1, n2, gp, gt, gc, wp, wt, wc)
-		}
-	}
-
-	// Crafted cases. Half-ulp ties: in the [0.5,1) binade one grid unit is
-	// 2^-53, so delta = (2A+1)·2^-54 has fractional part exactly ½ and
-	// exercises the two-phase even-index walk.
-	for _, a := range []int64{0, 1, 3, 1000} {
-		delta := math.Ldexp(float64(2*a+1), -54)
-		check(0.5, delta, 200000)
-		check(0.5+math.Ldexp(1, -53), delta, 200000) // odd starting index
-		check(0.75, delta, 12345)
-		split(0.5, delta, 1<<40, 1<<41)
-		split(0.5+math.Ldexp(1, -53), delta, 12345, 1<<52)
-	}
-	check(0.75, math.Ldexp(1, -55), 100)   // quarter-ulp: frozen immediately
-	check(0.9999999, 0.3, 100)             // crossing on the first add
-	check(1.0, 0.25, 100)                  // already crossed: no adds
-	check(5e-324, 5e-324, 200000)          // subnormal grid (walked per-step)
-	check(1e-300, 1e-320, 1000)            // tiny delta, tiny p
-	check(0.1, math.Ldexp(1, -1000), 1000) // delta far below p's ulp: frozen
-
-	// Random sweep across magnitudes. The naive loop caps the work, so n
-	// stays modest here; the crafted cases above cover the huge-n paths.
+// TestCalendarDueMatchesNaive is the property suite for the calendar's
+// closed forms. Over random rate-change sequences (random types,
+// coefficients, caps, and recap intervals), after every rescale the
+// calendar's progress line must pass through the per-step loop's
+// progress and the scheduled due step must equal the step at which the
+// loop finishes — including completions landing exactly on, and one
+// past, the calendar horizon. Crafted cases cover a zero rate, due steps
+// far beyond what a loop can replay, and the overflow edge: a rescale
+// past a crossing must panic, never wrap.
+func TestCalendarDueMatchesNaive(t *testing.T) {
 	rng := stats.NewRNG(42)
-	for i := 0; i < 2000; i++ {
-		p := rng.Float64()
-		exp := -1 - int(rng.Float64()*60)
-		delta := rng.Float64() * math.Ldexp(1, exp)
-		n := int64(1 + rng.Float64()*50000)
-		check(p, delta, n)
+	for trial := 0; trial < 200; trial++ {
+		typ := workload.Type{
+			Name: "t", PMin: 140, PMax: 280,
+			BaseSeconds: 1 + rng.Float64()*800,
+			MaxSlowdown: 1 + 2*rng.Float64(),
+		}
+		if trial%2 == 0 {
+			typ.BaseSeconds = math.Floor(typ.BaseSeconds) // whole-second durations
+		}
+		coeff := 0.1 + 1.9*rng.Float64()
+		maxStep := int64(1 + rng.Intn(4000))
+		e := calTestEngine(typ, coeff, maxStep)
+		var p uint64 // the naive loop's progress after step now
+		for now := int64(0); now <= maxStep; {
+			e.jobs[0].cap = units.Power(rng.Uniform(120, 300))
+			e.calReschedule(0, now)
+			delta := progressDelta(coeff, progressRate(&typ, e.jobs[0].cap))
+			c := e.cal[0]
+			if at := c.p + uint64(now-c.base)*c.delta; at != p || c.delta != delta {
+				t.Fatalf("trial %d step %d: calendar at (p=%d, delta=%d), naive (p=%d, delta=%d)",
+					trial, now, at, c.delta, p, delta)
+			}
+			want := naiveDue(p, delta, now, maxStep)
+			if c.due != want {
+				t.Fatalf("trial %d step %d: due = %d, naive loop finishes at %d (maxStep %d)",
+					trial, now, c.due, want, maxStep)
+			}
+			next := now + 1 + int64(rng.Intn(400))
+			if want <= next {
+				break // the job completes before its next recap
+			}
+			for s := now; s < next; s++ {
+				p += delta
+			}
+			now = next
+		}
 	}
+
+	// Completion exactly at the horizon is scheduled; one step past it
+	// is not. 10 s uncapped at coefficient 1 finishes at step 10.
+	ten := workload.Type{Name: "ten", BaseSeconds: 10, MaxSlowdown: 2, PMin: 140, PMax: 280}
+	for _, tc := range []struct{ maxStep, want int64 }{{10, 10}, {9, calNever}, {0, calNever}} {
+		e := calTestEngine(ten, 1, tc.maxStep)
+		e.jobs[0].cap = ten.PMax
+		e.calReschedule(0, 0)
+		if e.cal[0].due != tc.want {
+			t.Errorf("maxStep %d: due = %d, want %d", tc.maxStep, e.cal[0].due, tc.want)
+		}
+	}
+
+	// A zero rate never finishes.
+	frozen := ten
+	frozen.BaseSeconds = math.Inf(1)
+	e := calTestEngine(frozen, 1, 1000)
+	e.jobs[0].cap = frozen.PMax
+	e.calReschedule(0, 0)
+	if e.cal[0].due != calNever {
+		t.Errorf("zero-rate job scheduled at step %d", e.cal[0].due)
+	}
+
+	// Rates of a few units per step: due steps (~2⁵⁰) far beyond any
+	// loop, so hold them to the arithmetic — first uncapped, then after a
+	// recap to the minimum cap 2⁴⁰ steps in.
+	slow := ten
+	slow.BaseSeconds = 1e15
+	const huge = int64(math.MaxInt64 / 2)
+	e = calTestEngine(slow, 1, huge)
+	e.jobs[0].cap = slow.PMax
+	e.calReschedule(0, 0)
+	fastDelta := progressDelta(1, progressRate(&slow, slow.PMax))
+	if want := int64((progressOne + fastDelta - 1) / fastDelta); fastDelta < 2 || e.cal[0].due != want {
+		t.Fatalf("slow job: delta %d, due %d, want %d", fastDelta, e.cal[0].due, want)
+	}
+	e.jobs[0].cap = slow.PMin
+	e.calReschedule(0, 1<<40)
+	slowDelta := progressDelta(1, progressRate(&slow, slow.PMin))
+	p := fastDelta << 40
+	want := 1<<40 + int64((progressOne-p+slowDelta-1)/slowDelta)
+	if slowDelta >= fastDelta || e.cal[0].p != p || e.cal[0].due != want {
+		t.Errorf("recap: delta %d p %d due %d, want delta < %d, p %d, due %d",
+			slowDelta, e.cal[0].p, e.cal[0].due, fastDelta, p, want)
+	}
+
+	// Overflow edge: a half-job delta rescaled to a new rate ~2⁶² steps
+	// later would wrap steps·delta; the calendar must refuse instead.
+	fast := ten
+	fast.BaseSeconds = 2
+	e = calTestEngine(fast, 1, huge)
+	e.jobs[0].cap = fast.PMax
+	e.calReschedule(0, 0)
+	if e.cal[0].delta != progressOne/2 || e.cal[0].due != 2 {
+		t.Fatalf("fast job: delta %d due %d, want %d and 2", e.cal[0].delta, e.cal[0].due, progressOne/2)
+	}
+	e.jobs[0].cap = fast.PMin // a new rate, so the rescale materializes
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("rescale after the completion step did not panic")
+			}
+		}()
+		e.calReschedule(0, huge)
+	}()
 }
 
-// TestAddRepeatMatchesNaive holds the measurement kernel's repeated-sum
-// replay to the serial loop on wattage-scale values: k additions of a
-// per-node draw onto a block accumulator must produce identical bits.
-func TestAddRepeatMatchesNaive(t *testing.T) {
-	check := func(s, x float64, k int64) {
-		t.Helper()
-		got := addRepeat(s, x, k)
-		want := s
-		for i := int64(0); i < k; i++ {
-			want += x
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("addRepeat(%v, %v, %d) = %v (%#x), naive loop %v (%#x)",
-				s, x, k, got, math.Float64bits(got), want, math.Float64bits(want))
+// TestIntegralBaseSecondsFinishExactly pins what rounding the per-step
+// increment up buys: an uncapped job on a coefficient-1 node whose
+// BaseSeconds is a whole number B runs exactly B seconds — for every B
+// in 1…10⁵ in closed form, and end to end through both the calendar and
+// the per-step oracle. (A float progress chain finishes one step late
+// for about half of these: ten additions of fl(0.1) stop short of 1.)
+func TestIntegralBaseSecondsFinishExactly(t *testing.T) {
+	for b := 1; b <= 100000; b++ {
+		typ := workload.Type{BaseSeconds: float64(b), MaxSlowdown: 2, PMin: 140, PMax: 280}
+		if got := stepsToFinish(0, progressDelta(1, progressRate(&typ, typ.PMax))); got != int64(b) {
+			t.Fatalf("BaseSeconds %d finishes after %d steps", b, got)
 		}
 	}
-
-	check(0, 0, 1000)     // idle run: +0.0 stays +0.0
-	check(0, 117.5, 1)    // single node
-	check(0, 117.5, 8192) // a full measurement block of one wattage
-	check(251.3, 83.2, 4096)
-	check(1e18, 1.0, 100) // x below s's ulp: frozen on the first add
-	check(0, 1e-12, 100000)
-
-	rng := stats.NewRNG(7)
-	for i := 0; i < 500; i++ {
-		s := rng.Float64() * 2e6 // up to ~a block of 8192 nodes at 250 W
-		x := rng.Float64() * 250
-		k := int64(1 + rng.Float64()*20000)
-		check(s, x, k)
+	for _, b := range []int{1, 3, 10, 49, 1000, 3599} {
+		typ := workload.Type{Name: "whole", Nodes: 2, BaseSeconds: float64(b), Epochs: 1,
+			MaxSlowdown: 2, PMin: 140, PMax: 280, MidFrac: 0.4}
+		for _, perStep := range []bool{false, true} {
+			res, err := Run(Config{
+				Nodes: 2, Types: []workload.Type{typ},
+				Arrivals:        []schedule.Arrival{{At: 0, JobID: "solo", TypeName: typ.Name, ClaimedType: typ.Name}},
+				Bid:             dr.Bid{AvgPower: 2 * 300, Reserve: 1},
+				Signal:          dr.Constant(0),
+				Horizon:         time.Duration(b+10) * time.Second,
+				DisableCalendar: perStep,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Jobs) != 1 {
+				t.Fatalf("B=%d perStep=%v: %d jobs completed", b, perStep, len(res.Jobs))
+			}
+			if exec := res.Jobs[0].End - res.Jobs[0].Start; exec != time.Duration(b)*time.Second {
+				t.Errorf("B=%d perStep=%v: ran %v", b, perStep, exec)
+			}
+		}
 	}
 }
 
@@ -281,8 +341,8 @@ func TestCalendarMatchesPerStep(t *testing.T) {
 
 // TestCalendarAllocsPerStep pins the calendar's steady-state allocation
 // budget: with a stepped walk recapping jobs every few seconds — the
-// worst case for calendar churn, every recap rescheduling every job
-// through the heap's push/lazy-delete/compact cycle — the marginal cost
+// worst case for calendar churn, every recap rescheduling every job —
+// the marginal cost
 // of an extra step must still be approximately zero allocations. The
 // name matches the CI perf-gate filter (AllocsPerStep).
 func TestCalendarAllocsPerStep(t *testing.T) {

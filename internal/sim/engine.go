@@ -37,17 +37,14 @@ type engine struct {
 	types     map[string]workload.Type
 	scheduler *sched.Scheduler
 
-	// Node tables, struct-of-arrays. Splitting the old nodeState struct
-	// into parallel slices keeps each kernel's working set to exactly the
-	// fields it reads: the measurement sweep streams nodeJob alone
-	// (4 B/node instead of the struct's padded 24 B), which at 100k+
-	// nodes is the difference between a cache-resident pass and a
-	// memory-bandwidth-bound one. Values and evaluation order are
-	// unchanged, so every float result is bit-identical to the
-	// array-of-structs layout.
-	nodeJob      []int32   // job-table slot per node; idleNode / downNode sentinels
-	nodeCoeff    []float64 // per-node performance-variation coefficient (§6.4)
-	nodeProgress []float64 // per-node progress, used only by the per-step oracle path
+	// Node tables, struct-of-arrays: each is read only by the phases that
+	// need it.
+	nodeJob   []int32   // job-table slot per node; idleNode / downNode sentinels
+	nodeCoeff []float64 // per-node performance-variation coefficient (§6.4)
+	// nodeProgress is per-node fixed-point progress (engine_calendar.go),
+	// allocated only for the per-step oracle path; the calendar prices
+	// each job by one representative node instead.
+	nodeProgress []uint64
 	jobs         []runningJob
 	// freeSlots are job-table slots available for reuse.
 	freeSlots []int32
@@ -73,40 +70,21 @@ type engine struct {
 	bjobs []budget.Job
 	caps  []units.Power
 
-	// advanceFn and measureFn are the progress-advance and measurement
-	// kernels bound once at construction; a function literal in the step
-	// path would allocate its closure every simulated second.
+	// advanceFn is the per-step progress kernel bound once at
+	// construction; a function literal in the step path would allocate
+	// its closure every simulated second.
 	advanceFn func(lo, hi int)
-	measureFn func(lo, hi int)
 
-	// blockPower and blockBusy are the per-block partial reductions of
-	// the measurement kernel (see measure), reused across steps.
-	blockPower []units.Power
-	blockBusy  []int32
-	// nodePower maps a nodeJob value (offset by 2) to the wattage that
-	// node contributes: slot 0 is downNode (0 W), slot 1 is idleNode
-	// (idle power), slot s+2 is job slot s's settled per-node power.
-	// Rebuilt per measurement, it turns the kernel's per-node branch
-	// chain into one predictable table load (see measureBlocks).
-	nodePower []units.Power
-	// Per-block measurement cache (see measureBlocks). blockRuns[b] is
-	// block b's run-length encoding of nodeJob — valid while
-	// blockStale[b] is false, i.e. until an assignment in the block
-	// changes (blockTouch). blockDense[b] marks blocks too fragmented
-	// for run-length replay to pay off. blockW pins the block width the
-	// cache was built for.
-	blockRuns  [][]blockRun
-	blockStale []bool
-	blockDense []bool
-	blockW     int
 	// measuredBusy is the busy-node count folded out of the last
-	// measurement pass, recorded as telemetry alongside the power sum.
+	// measurement, recorded as telemetry alongside the power sum.
 	measuredBusy int
 
 	shards int
-	// pool is the persistent multi-core shard runtime (nil when serial):
-	// long-lived workers woken through a reusable barrier instead of a
-	// goroutine spawn per step. Run closes it via engine.close.
+	// pool is the persistent multi-core shard runtime for the per-step
+	// progress kernel (nil when serial or when the calendar prices
+	// progress): long-lived workers woken through a reusable barrier
+	// instead of a goroutine spawn per step. Run closes it via
+	// engine.close.
 	pool *shardPool
 
 	// Fault-layer state (engine_failures.go). nextFailure cursors the
@@ -118,21 +96,21 @@ type engine struct {
 
 	// Completion-calendar state (engine_calendar.go). calOn mirrors
 	// !cfg.DisableCalendar; cal holds per-slot closed-form progress
-	// state, calHeap the pending completion steps, calRescale the slots
-	// whose rate changed this step, and curStep the loop's current
-	// simulated second (set by Run before the engine phases).
+	// state, calNext a lower bound on the earliest due step, calRescale
+	// the slots whose rate changed this step, and curStep the loop's
+	// current simulated second (set by Run before the engine phases).
 	calOn      bool
 	cal        []calJob
-	calHeap    []calEntry
+	calNext    int64
 	calRescale []int32
 	calMaxStep int64
 	curStep    int64
 }
 
 // runningJob is one occupied job-table slot. Caps are uniform across a
-// job's nodes (both capping policies assign per-job caps), so the cap,
-// its progress rate, and the achieved per-node power are stored once per
-// job and hoisted out of the per-node loops.
+// job's nodes (both capping policies assign per-job caps), so the cap and
+// the achieved per-node power are stored once per job and hoisted out of
+// the per-node loops.
 type runningJob struct {
 	id       string
 	job      *sched.Job
@@ -145,16 +123,16 @@ type runningJob struct {
 
 func newEngine(cfg Config, types map[string]workload.Type, scheduler *sched.Scheduler, coeffs []float64) *engine {
 	e := &engine{
-		cfg:          cfg,
-		types:        types,
-		scheduler:    scheduler,
-		nodeJob:      make([]int32, cfg.Nodes),
-		nodeCoeff:    coeffs, // Run builds a fresh slice per call; take ownership
-		nodeProgress: make([]float64, cfg.Nodes),
-		freeRing:     make([]int32, cfg.Nodes),
-		freeLen:      cfg.Nodes,
-		shards:       resolveShards(cfg.Shards, cfg.Nodes),
-		calOn:        !cfg.DisableCalendar,
+		cfg:       cfg,
+		types:     types,
+		scheduler: scheduler,
+		nodeJob:   make([]int32, cfg.Nodes),
+		nodeCoeff: coeffs, // shared read-only (see variationCoeffs)
+		freeRing:  make([]int32, cfg.Nodes),
+		freeLen:   cfg.Nodes,
+		shards:    resolveShards(cfg.Shards, cfg.Nodes),
+		calOn:     !cfg.DisableCalendar,
+		calNext:   calNever,
 	}
 	for i := range e.nodeJob {
 		e.nodeJob[i] = idleNode
@@ -163,29 +141,12 @@ func newEngine(cfg Config, types map[string]workload.Type, scheduler *sched.Sche
 	if e.calOn {
 		horizonS := int64(cfg.Horizon / time.Second)
 		e.calMaxStep = 4 * horizonS
+	} else {
+		e.nodeProgress = make([]uint64, cfg.Nodes)
+		e.advanceFn = e.advanceRange
+		e.pool = newShardPool(e.shards)
 	}
-	e.blockW = measureBlockNodes
-	blocks := (cfg.Nodes + e.blockW - 1) / e.blockW
-	e.blockPower = make([]units.Power, blocks)
-	e.blockBusy = make([]int32, blocks)
-	e.blockRuns = make([][]blockRun, blocks)
-	e.blockStale = make([]bool, blocks)
-	e.blockDense = make([]bool, blocks)
-	for b := range e.blockStale {
-		e.blockStale[b] = true
-	}
-	e.advanceFn = e.advanceRange
-	e.measureFn = e.measureBlocks
-	e.pool = newShardPool(e.shards)
 	return e
-}
-
-// blockTouch marks a node's measurement block stale after its nodeJob
-// assignment changed, invalidating the block's cached run-length
-// encoding. O(1), called from every assignment site (start, completion,
-// fail-stop, recovery).
-func (e *engine) blockTouch(ni int32) {
-	e.blockStale[int(ni)/e.blockW] = true
 }
 
 // close releases the shard pool's workers. The engine must not step
@@ -248,8 +209,6 @@ func (e *engine) advanceAndComplete(now time.Time) (int, error) {
 		}
 		for _, ni := range rj.nodes {
 			e.nodeJob[ni] = idleNode
-			e.nodeProgress[ni] = 0
-			e.blockTouch(ni)
 			e.freePush(ni)
 		}
 		rj.job = nil
@@ -269,19 +228,13 @@ func (e *engine) advanceRange(lo, hi int) {
 		// The progress rate depends only on the job's type and its
 		// (per-job) cap, so it is computed once per job per step
 		// instead of once per node.
-		rate := progressRate(rj.typ, rj.cap)
+		rate := progressRate(&rj.typ, rj.cap)
 		done := true
 		for _, ni := range rj.nodes {
-			if p := e.nodeProgress[ni]; p < 1 {
-				// The per-step increment is rounded on its own before the
-				// add (Go only fuses expressions without an intermediate
-				// assignment), pinning fl(p + fl(coeff·rate)) on every
-				// architecture — the exact sequence the completion
-				// calendar's closed form reproduces (engine_calendar.go).
-				d := e.nodeCoeff[ni] * rate
-				p += d
+			if p := e.nodeProgress[ni]; p < progressOne {
+				p += progressDelta(e.nodeCoeff[ni], rate)
 				e.nodeProgress[ni] = p
-				if p < 1 {
+				if p < progressOne {
 					done = false
 				}
 			}
@@ -311,8 +264,9 @@ func (e *engine) startJobs(now time.Time) (int, error) {
 			ni := e.freePop()
 			rj.nodes = append(rj.nodes, ni)
 			e.nodeJob[ni] = slot
-			e.nodeProgress[ni] = 0
-			e.blockTouch(ni)
+			if !e.calOn {
+				e.nodeProgress[ni] = 0
+			}
 		}
 		e.orderInsert(slot)
 		if e.calOn {
@@ -452,158 +406,28 @@ func (e *engine) applyCaps(jobBudget units.Power, now time.Time) (changed bool) 
 	return changed
 }
 
-// measureBlockNodes is the fixed width of one measurement reduction
-// block. Block boundaries depend only on this constant and the node
-// count — never on the shard count or GOMAXPROCS — so the re-associated
-// sum is identical at every parallelism setting. Clusters at or below
-// one block reduce in a single block, which is exactly the seed's serial
-// left-to-right sum, so every pinned small-cluster expectation is
-// byte-identical. A var only so the block-vs-serial oracle test can
-// shrink it enough to exercise multi-block merging on small clusters.
-var measureBlockNodes = 8192
-
 // measure settles each job's achieved per-node power (the cap, saturated
-// at the type's uncapped draw) and reduces cluster power over fixed
-// 8192-node blocks: each block is summed serially in node-index order,
-// block work is distributed over the shard pool, and the block partials
-// are merged serially in block order. This replaces the serial O(nodes)
-// scan that dominated 100k-node steps. The same kernel folds out the
-// busy-node count per block (exact integers, order-free), so telemetry
-// gets power and busy from one pass.
+// at the type's uncapped draw) and returns cluster power: the sum over
+// running jobs of the integer milliwatt rate the ledger is given, plus
+// the idle nodes at the quantized idle power. Down nodes draw nothing.
+// Integer addition is exact and order-free, so the sum costs O(running
+// jobs), needs no per-node pass, and is the same at any shard count; the
+// busy-node count for telemetry falls out of the same loop.
 func (e *engine) measure() units.Power {
+	var mw int64
+	busy := 0
 	for _, slot := range e.order {
 		rj := &e.jobs[slot]
-		p := rj.cap
-		if rj.typ.PMax < p {
-			p = rj.typ.PMax
-		}
-		rj.power = p
+		rj.power = min(rj.cap, rj.typ.PMax)
+		mw += ledger.MilliWatts(rj.watts())
+		busy += len(rj.nodes)
 	}
-	// Refresh the per-slot power table the kernel indexes by nodeJob
-	// value. Freed slots keep stale powers here, but no node references
-	// a freed slot, so those entries are never loaded.
-	if cap(e.nodePower) < len(e.jobs)+2 {
-		e.nodePower = make([]units.Power, len(e.jobs)+2)
-	}
-	e.nodePower = e.nodePower[:len(e.jobs)+2]
-	e.nodePower[0] = 0 // down nodes draw nothing
-	e.nodePower[1] = e.cfg.IdlePower
-	for i := range e.jobs {
-		e.nodePower[i+2] = e.jobs[i].power
-	}
-	// The block-vs-serial oracle test moves measureBlockNodes between
-	// runs; rebuild the block cache if the width it was sized for moved.
-	if e.blockW != measureBlockNodes {
-		e.blockW = measureBlockNodes
-		blocks := (len(e.nodeJob) + e.blockW - 1) / e.blockW
-		e.blockPower = make([]units.Power, blocks)
-		e.blockBusy = make([]int32, blocks)
-		e.blockRuns = make([][]blockRun, blocks)
-		e.blockStale = make([]bool, blocks)
-		e.blockDense = make([]bool, blocks)
-		for b := range e.blockStale {
-			e.blockStale[b] = true
-		}
-	}
-	blocks := len(e.blockPower)
-	e.pool.run(blocks, e.measureFn)
-	var measured units.Power
-	busy := 0
-	for b := range e.blockPower {
-		measured += e.blockPower[b]
-		busy += int(e.blockBusy[b])
-	}
+	idle := len(e.nodeJob) - busy - e.down
+	mw += int64(idle) * ledger.MilliWatts(e.cfg.IdlePower.Watts())
 	e.measuredBusy = busy
-	return measured
+	return units.Power(float64(mw) / 1e3)
 }
 
-// blockRun is one run of consecutive nodes sharing a nodeJob value in a
-// measurement block's run-length encoding.
-type blockRun struct {
-	idx   int32
-	count int32
-}
-
-// blockDenseLimit is the run count past which a block is considered too
-// fragmented for run-length replay (the closed-form walk costs more than
-// a plain add per node once runs shrink toward length one).
-func blockDenseLimit(width int) int { return width/8 + 1 }
-
-// measureBlocks is the sharded measurement kernel: it reduces the blocks
-// [lo, hi), each serially over its fixed node range, writing only this
-// range's partials.
-//
-// The power sum inside a block is a long chain of repeated additions of
-// a few distinct per-node wattages: the free ring hands out contiguous
-// node runs, so a block is typically a handful of (job, idle) stretches.
-// The kernel exploits that two ways. Membership (who runs where) changes
-// only at starts, completions, and fail-stop events, so each block's
-// run-length encoding — and its busy count, a pure function of
-// membership — is cached and reused until blockTouch marks the block
-// stale. And within a run, k additions of the same wattage reduce to the
-// calendar's exact closed form (addRepeat/binadeBatch), which reproduces
-// the serial fl(sum + x) chain bit-for-bit in O(binades crossed) instead
-// of O(k) — the accumulator only grows, so a whole block replays in
-// O(runs + log(total/ulp)) float operations. Down-node runs add nothing,
-// exactly like the original branch. Blocks fragmented past
-// blockDenseLimit fall back to the plain per-node loop (one table load
-// and add per node), which computes the identical sum. Every path
-// reduces in node-index order, so partials are bit-identical to the
-// original serial scan at any shard count.
-func (e *engine) measureBlocks(lo, hi int) {
-	nj := e.nodeJob
-	pw := e.nodePower
-	for b := lo; b < hi; b++ {
-		start := b * e.blockW
-		end := start + e.blockW
-		if end > len(nj) {
-			end = len(nj)
-		}
-		if e.blockStale[b] {
-			limit := blockDenseLimit(end - start)
-			runs := e.blockRuns[b][:0]
-			var busy int32
-			dense := false
-			for i := start; i < end; {
-				v := nj[i]
-				j := i + 1
-				for j < end && nj[j] == v {
-					j++
-				}
-				if v >= 0 {
-					busy += int32(j - i)
-				}
-				if !dense {
-					runs = append(runs, blockRun{idx: v, count: int32(j - i)})
-					if len(runs) > limit {
-						dense = true // keep scanning for the busy count only
-					}
-				}
-				i = j
-			}
-			e.blockRuns[b] = runs
-			e.blockBusy[b] = busy
-			e.blockDense[b] = dense
-			e.blockStale[b] = false
-		}
-		if e.blockDense[b] {
-			// A down node's +0.0 cannot change any partial bit: the
-			// accumulator starts at +0.0 and only ever adds non-negative
-			// wattages, so it is never -0.0, and x + 0.0 == x exactly.
-			var sum units.Power
-			for i := start; i < end; i++ {
-				sum += pw[nj[i]+2]
-			}
-			e.blockPower[b] = sum
-			continue
-		}
-		var sum float64
-		for _, r := range e.blockRuns[b] {
-			if r.idx == downNode {
-				continue
-			}
-			sum = addRepeat(sum, float64(pw[r.idx+2]), int64(r.count))
-		}
-		e.blockPower[b] = units.Power(sum)
-	}
-}
+// watts is a running job's settled draw across all its nodes — the
+// value both measure and the energy ledger quantize to milliwatts.
+func (rj *runningJob) watts() float64 { return rj.power.Watts() * float64(len(rj.nodes)) }

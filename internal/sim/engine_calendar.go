@@ -14,41 +14,67 @@ import (
 // its completion second is fully determined the moment the cap is set.
 // Instead of touching every busy node every simulated second, the engine
 // computes each running job's completion step in closed form at start and
-// at every recap, buckets it into a min-heap keyed by that step, and the
-// per-second progress phase becomes O(completions due this second); the
-// per-recap work is O(jobs whose caps moved). The per-step path survives
-// behind Config.DisableCalendar as the oracle.
+// at every recap — O(1) per job whose cap moved — and keeps calNext, a
+// lower bound on the earliest such step. A second before calNext costs
+// the progress phase one comparison; at calNext the phase walks the
+// running jobs once, completing those due and recomputing the bound. That
+// walk is the same sorted-order compaction every completion pays anyway,
+// so no step's cost grows. The per-step path survives behind
+// Config.DisableCalendar as the oracle.
 //
-// Two facts make the closed form *bit-identical* to the per-step loop,
-// not just approximately right:
+// Fixed-point progress is the specification. A node's progress is a
+// uint64 count of 2⁻⁵² of a job (progressOne is the whole job), and every
+// simulated second adds delta = ⌈fl(coeff·rate)·2⁵²⌉ (progressDelta).
+// Integer addition is exact, so k steps at one delta add exactly k·delta,
+// and the closed forms are O(1):
 //
-//  1. Representative node. Per-node progress is write-only state — no
-//     output reads it; only the step at which all of a job's nodes reach
-//     1.0 matters. fl(x+y) and fl(c·r) are monotone in their arguments,
-//     so by induction the node with the job's minimum variation
-//     coefficient has minimal progress after every step, across any
-//     sequence of piecewise-constant rates. The job completes exactly
-//     when that one node crosses 1.0, so the calendar tracks a single
-//     (progress, delta) pair per job, materialized lazily at recaps.
+//   - materialize: p += steps·delta;
+//   - completion: the job finishes ⌈(2⁵² − p)/delta⌉ steps after base.
 //
-//  2. Exact repeated-addition arithmetic. The per-step loop computes
-//     p = fl(p + delta) once per second — NOT p = k·delta, which rounds
-//     differently. advanceProgress reproduces the repeated-addition
-//     sequence exactly but in O(log(1/delta)) work: within one binade
-//     [2^e, 2^e+1) every value is an integer multiple of a fixed grid
-//     unit (the binade's ulp), delta is A + f grid units with constant
-//     integer A and fraction f, and round-to-nearest makes every step
-//     advance the grid index by the same constant (A for f < ½, A+1 for
-//     f > ½; exact ties round half-to-even, landing on an even index
-//     after one step and advancing by the even member of {A, A+1}
-//     thereafter). The walk jumps each binade in O(1) integer arithmetic
-//     and performs the few boundary steps with hardware adds.
+// Both stay below 2⁵³ (p < 2⁵² and delta ≤ 2⁵²), so nothing overflows.
+//
+// Representative node. Per-node progress is write-only state — no output
+// reads it; only the step at which all of a job's nodes reach progressOne
+// matters. fl(c·r) and ⌈·⌉ are monotone, so the node with the job's
+// minimum variation coefficient has the smallest delta at every rate and
+// therefore the least progress after every step, across any sequence of
+// piecewise-constant rates. The job completes exactly when that one node
+// does, so the calendar tracks a single (progress, delta) pair per job,
+// materialized lazily at recaps.
 //
 // All calendar bookkeeping runs in the serial sections of the step loop,
 // so shard count and GOMAXPROCS cannot affect it, and completions are
 // applied by walking the sorted-order index exactly as the per-step
 // engine's compaction does — free-ring push order, ledger close order,
-// and every downstream float stay bit-identical.
+// and every downstream value stay identical.
+
+// progressOne is one whole job in fixed-point progress units (2⁵²).
+const progressOne = uint64(1) << 52
+
+// progressDelta is the per-step progress increment of a node with
+// performance coefficient coeff at rate (fraction of the job per second):
+// ⌈fl(coeff·rate)·2⁵²⌉. Rounding up makes a job whose exact duration is a
+// whole number of seconds finish on that second. Increments of a whole
+// job or more are clamped to progressOne (one step finishes either way);
+// a zero or NaN rate never progresses.
+func progressDelta(coeff, rate float64) uint64 {
+	// The conversion rounds the product on its own, pinning fl(coeff·rate)
+	// on every architecture; scaling by 2⁵² is exact.
+	d := math.Ceil(float64(coeff*rate) * 0x1p52)
+	switch {
+	case d >= 0x1p52:
+		return progressOne
+	case d > 0:
+		return uint64(d)
+	}
+	return 0
+}
+
+// stepsToFinish is how many steps of delta > 0 take progress p < progressOne
+// to progressOne: ⌈(2⁵² − p)/delta⌉.
+func stepsToFinish(p, delta uint64) int64 {
+	return int64((progressOne - p + delta - 1) / delta)
+}
 
 // calNever marks a job with no completion inside the run's step range.
 const calNever = int64(math.MaxInt64)
@@ -57,25 +83,16 @@ const calNever = int64(math.MaxInt64)
 type calJob struct {
 	// p is the representative (minimum-coefficient) node's progress
 	// after the progress phase of step base.
-	p float64
-	// delta is the per-step increment fl(coeff·rate) in effect since
-	// base; rescales materialize p before replacing it.
-	delta float64
+	p uint64
+	// delta is the per-step increment in effect since base; rescales
+	// materialize p before replacing it.
+	delta uint64
 	// coeff is the minimum performance-variation coefficient across the
-	// job's nodes — the last node to finish (see the monotonicity note).
+	// job's nodes — the last node to finish.
 	coeff float64
 	base  int64
 	// due is the scheduled completion step, or calNever.
 	due int64
-	// gen invalidates heap entries orphaned by a rescale or requeue.
-	gen uint32
-}
-
-// calEntry is one pending completion in the calendar heap.
-type calEntry struct {
-	step int64
-	gen  uint32
-	slot int32
 }
 
 // calStart initializes calendar state for a slot that startJobs just
@@ -83,113 +100,84 @@ type calEntry struct {
 // capping phase picks the job's first real cap.
 func (e *engine) calStart(slot int32) {
 	for len(e.cal) < len(e.jobs) {
-		e.cal = append(e.cal, calJob{due: calNever})
+		e.cal = append(e.cal, calJob{})
 	}
 	rj := &e.jobs[slot]
-	c := &e.cal[slot]
 	min := e.nodeCoeff[rj.nodes[0]]
 	for _, ni := range rj.nodes[1:] {
 		if v := e.nodeCoeff[ni]; v < min {
 			min = v
 		}
 	}
-	c.coeff = min
-	c.p = 0
-	c.delta = 0
-	c.base = e.curStep
+	e.cal[slot] = calJob{coeff: min, base: e.curStep, due: calNever}
 	e.calRescale = append(e.calRescale, slot)
-}
-
-// calDrop retires a slot's calendar entry when its job leaves the table
-// (completion or fail-stop requeue).
-func (e *engine) calDrop(slot int32) {
-	c := &e.cal[slot]
-	if c.due != calNever {
-		c.gen++ // orphan the live heap entry
-		c.due = calNever
-	}
 }
 
 // calFlushRescale reschedules every slot whose rate changed this step:
 // new starts and jobs whose caps moved. It runs after the capping phase,
 // so a job started and immediately capped in the same second is
 // rescheduled once with its final delta (the second queue entry finds
-// the completion step unchanged and does nothing).
+// the delta unchanged and does nothing).
 func (e *engine) calFlushRescale() {
-	if len(e.calRescale) == 0 {
-		return
-	}
 	for _, slot := range e.calRescale {
 		e.calReschedule(slot, e.curStep)
 	}
 	e.calRescale = e.calRescale[:0]
 }
 
-// calReschedule materializes a slot's representative progress through
-// step t under the outgoing delta, recomputes delta from the current
-// cap, and re-buckets the completion step.
+// calReschedule recomputes a slot's delta from the current cap and, if it
+// moved, materializes the representative progress through step t under
+// the outgoing delta and recomputes the completion step.
 func (e *engine) calReschedule(slot int32, t int64) {
 	c := &e.cal[slot]
-	if steps := t - c.base; steps > 0 {
-		p, _, crossed := advanceProgress(c.p, c.delta, steps)
-		if crossed {
-			// Unreachable when the calendar is sound: a crossing before t
-			// would have completed the job at its due step.
-			panic(fmt.Sprintf("sim: calendar job %s crossed 1.0 before its rescale at step %d (base %d)",
-				e.jobs[slot].id, t, c.base))
-		}
-		c.p = p
-	}
-	c.base = t
 	rj := &e.jobs[slot]
-	// One multiply, rounded by the assignment — the same fl(coeff·rate)
-	// the per-step kernel adds for this job's slowest node.
-	c.delta = c.coeff * progressRate(rj.typ, rj.cap)
-	due := calNever
-	if limit := e.calMaxStep - t; limit > 0 {
-		if _, k, crossed := advanceProgress(c.p, c.delta, limit); crossed {
-			due = t + k
+	delta := progressDelta(c.coeff, progressRate(&rj.typ, rj.cap))
+	if delta == c.delta {
+		return // same increment: progress line and due step both stand
+	}
+	if steps := t - c.base; steps > 0 && c.delta > 0 {
+		// Checked before multiplying, so a broken calendar panics here
+		// instead of wrapping.
+		if steps >= stepsToFinish(c.p, c.delta) {
+			// Unreachable when the calendar is sound: a crossing at or
+			// before t would have completed the job at its due step.
+			panic(fmt.Sprintf("sim: calendar job %s crossed 1.0 before its rescale at step %d (base %d)",
+				rj.id, t, c.base))
+		}
+		c.p += uint64(steps) * c.delta
+	}
+	c.base, c.delta, c.due = t, delta, calNever
+	if delta > 0 {
+		if k := stepsToFinish(c.p, delta); k <= e.calMaxStep-t {
+			c.due = t + k
 		}
 	}
-	if due == c.due {
-		return // completion step unchanged: the live heap entry stands
-	}
-	if c.due != calNever {
-		c.gen++ // orphan the previous entry
-	}
-	c.due = due
-	if due != calNever {
-		e.calPush(calEntry{step: due, gen: c.gen, slot: slot})
-	}
+	// A due step that moved later leaves calNext low; that only costs one
+	// walk that completes nothing.
+	e.calNext = min(e.calNext, c.due)
 }
 
-// calendarAdvanceAndComplete is the calendar engine's progress phase: it
-// pops every entry due at the current step and completes the scheduled
-// jobs by walking the sorted-order index — the same serial compaction
-// walk as the per-step engine, so completion order, free-ring order, and
-// ledger-close order are identical.
+// calendarAdvanceAndComplete is the calendar engine's progress phase.
+// Before calNext nothing can be due. At calNext it completes the jobs due
+// now by walking the sorted-order index — the same serial compaction walk
+// as the per-step engine, so completion order, free-ring order, and
+// ledger-close order are identical — and sets calNext to the earliest
+// remaining due step.
 func (e *engine) calendarAdvanceAndComplete(now time.Time) (int, error) {
 	t := e.curStep
-	due := 0
-	for len(e.calHeap) > 0 && e.calHeap[0].step <= t {
-		ent := e.calPop()
-		c := &e.cal[ent.slot]
-		if c.gen != ent.gen || c.due != ent.step {
-			continue // orphaned by a rescale, completion, or requeue
-		}
-		if ent.step != t {
-			return 0, fmt.Errorf("sim: calendar missed the completion of job %s (due step %d, now %d)",
-				e.jobs[ent.slot].id, ent.step, t)
-		}
-		due++
-	}
-	if due == 0 {
+	if e.calNext > t {
 		return 0, nil
 	}
-	completedJobs := 0
+	next := calNever
 	w := 0
 	for _, slot := range e.order {
-		if e.cal[slot].due != t {
+		due := e.cal[slot].due
+		if due != t {
+			if due < t {
+				return 0, fmt.Errorf("sim: calendar missed the completion of job %s (due step %d, now %d)",
+					e.jobs[slot].id, due, t)
+			}
+			next = min(next, due)
 			e.order[w] = slot
 			w++
 			continue
@@ -203,243 +191,14 @@ func (e *engine) calendarAdvanceAndComplete(now time.Time) (int, error) {
 		}
 		for _, ni := range rj.nodes {
 			e.nodeJob[ni] = idleNode
-			e.nodeProgress[ni] = 0
-			e.blockTouch(ni)
 			e.freePush(ni)
 		}
-		e.calDrop(slot)
 		rj.job = nil
 		rj.nodes = rj.nodes[:0]
 		e.freeSlots = append(e.freeSlots, slot)
-		completedJobs++
 	}
+	completed := len(e.order) - w
 	e.order = e.order[:w]
-	if completedJobs != due {
-		return 0, fmt.Errorf("sim: calendar had %d completions due at step %d but the job table held %d", due, t, completedJobs)
-	}
-	return completedJobs, nil
-}
-
-// Calendar heap: a hand-rolled binary min-heap on the completion step.
-// container/heap costs an interface call per swap and forces the entries
-// through an any-typed API; at tens of entries this version is branch-
-// predictable and allocation-free (pushes amortize into the backing
-// array).
-
-func (e *engine) calPush(ent calEntry) {
-	if len(e.calHeap) >= 1024 && len(e.calHeap) > 4*len(e.order)+64 {
-		e.calCompact()
-	}
-	h := append(e.calHeap, ent)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].step <= h[i].step {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	e.calHeap = h
-}
-
-func (e *engine) calPop() calEntry {
-	h := e.calHeap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	calSiftDown(h, 0)
-	e.calHeap = h
-	return top
-}
-
-// calCompact drops orphaned entries in place and re-heapifies — long
-// runs with frequent recaps would otherwise accumulate stale entries
-// without bound. Purely serial and a function of simulation state alone,
-// so it cannot perturb determinism.
-func (e *engine) calCompact() {
-	h := e.calHeap[:0]
-	for _, ent := range e.calHeap {
-		c := &e.cal[ent.slot]
-		if c.gen == ent.gen && c.due == ent.step {
-			h = append(h, ent)
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		calSiftDown(h, i)
-	}
-	e.calHeap = h
-}
-
-func calSiftDown(h []calEntry, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		small := l
-		if r := l + 1; r < len(h) && h[r].step < h[l].step {
-			small = r
-		}
-		if h[i].step <= h[small].step {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-}
-
-// advanceProgress applies up to n iterations of the per-step kernel's
-// update — if p < 1 { p = fl(p + delta) } — returning the resulting
-// value, the number of additions performed, and whether p crossed 1.
-// It stops early at a crossing (taken is then the crossing step) and
-// when the addition no longer changes p (the node is frozen and can
-// never finish). The result is bit-for-bit the value the per-step loop
-// would produce, computed in O(binades crossed) instead of O(n).
-func advanceProgress(p, delta float64, n int64) (float64, int64, bool) {
-	var taken int64
-	for taken < n {
-		if p >= 1 {
-			return p, taken, true
-		}
-		next := p + delta
-		if next == p {
-			return p, taken, false
-		}
-		p = next
-		taken++
-		if p >= 1 || taken == n {
-			return p, taken, p >= 1
-		}
-		var m int64
-		p, m = binadeBatch(p, delta, n-taken)
-		taken += m
-	}
-	return p, taken, p >= 1
-}
-
-// addRepeat returns the result of k repeated floating-point additions
-// s = fl(s + x) — exactly the value a serial loop would produce — in
-// O(binades crossed) work. Because the additions are monotone
-// non-decreasing for x ≥ 0, once an addition stops changing s every
-// later one is identical too, so the frozen check is exact (this also
-// covers x == +0.0). The measurement kernel uses this to replay a run of
-// equal per-node wattages in closed form (see measureBlocks). Requires
-// s ≥ 0 and x ≥ 0.
-func addRepeat(s, x float64, k int64) float64 {
-	for k > 0 {
-		next := s + x
-		if next == s {
-			return s
-		}
-		s = next
-		k--
-		if k == 0 {
-			break
-		}
-		var m int64
-		s, m = binadeBatch(s, x, k)
-		k -= m
-	}
-	return s
-}
-
-const calFracMask = 1<<52 - 1
-
-// binadeBatch advances p by up to limit exact repeated additions of
-// delta in closed form, stopping short of p's binade top (boundary steps
-// are left to the caller's hardware adds, which also decide the rounding
-// when the sum leaves the binade). It returns the new value and the
-// number of steps taken, possibly zero. Requires finite p > 0, limit ≥ 1,
-// and delta > 0; nothing here depends on p < 1, so the measurement
-// kernel's addRepeat reuses it on wattage-scale accumulators.
-//
-// Inside the binade every representable value is an integer multiple of
-// the binade's ulp. With delta = (A + f)·ulp for integer A and fractional
-// f, round-to-nearest advances the grid index by A when f < ½ and A+1
-// when f > ½ — a constant — so m steps land on index M + m·inc exactly.
-// An exact tie (f = ½) rounds half-to-even: the first step lands on an
-// even index, and from an even index the increment is the even member of
-// {A, A+1}, constant again. All arithmetic below is integer and exact;
-// the only float operations rebuild the result, which is exact because
-// every grid index here is below 2^53.
-func binadeBatch(p, delta float64, limit int64) (float64, int64) {
-	if limit <= 0 {
-		return p, 0
-	}
-	pb := math.Float64bits(p)
-	pe := int(pb >> 52 & 0x7ff)
-	mi := int64(pb & calFracMask)
-	var ulpExp int // exponent of one grid unit
-	var bu int64   // grid index of the binade's upper bound
-	if pe == 0 {
-		// Subnormal range: one fixed 2^-1074 grid spans (0, 2^-1022), so
-		// treat it as a single binade with bound index 2^52.
-		ulpExp = -1074
-		bu = 1 << 52
-	} else {
-		mi |= 1 << 52
-		ulpExp = pe - 1075
-		bu = 1 << 53
-	}
-	db := math.Float64bits(delta)
-	de := int(db >> 52 & 0x7ff)
-	dm := int64(db & calFracMask)
-	dExp := -1074
-	if de != 0 {
-		dm |= 1 << 52
-		dExp = de - 1075
-	}
-	// delta is dm·2^dExp, i.e. dm >> s grid units with s below.
-	s := ulpExp - dExp
-	if s <= 0 {
-		// delta ≥ 2^52 grid units: a single add exits the binade; let the
-		// hardware do it.
-		return p, 0
-	}
-	if s >= 54 {
-		// delta < ½ grid unit: every add rounds back to p; the caller's
-		// add detects the frozen node.
-		return p, 0
-	}
-	ai := dm >> s
-	rem := dm & (1<<s - 1)
-	half := int64(1) << (s - 1)
-	// One closed-form step from index m is exact while m ≤ room: the true
-	// sum stays below the binade top and the rounded index stays inside.
-	room := bu - ai - 2
-	var taken int64
-	if rem == half {
-		inc0 := ai + (mi+ai)&1
-		if inc0 == 0 || mi > room {
-			return p, 0
-		}
-		mi += inc0
-		taken = 1
-		incE := ai + ai&1
-		if incE > 0 && taken < limit && mi <= room {
-			m := (room-mi)/incE + 1
-			if m > limit-taken {
-				m = limit - taken
-			}
-			mi += m * incE
-			taken += m
-		}
-	} else {
-		inc := ai
-		if rem > half {
-			inc++
-		}
-		if inc == 0 || mi > room {
-			return p, 0
-		}
-		m := (room-mi)/inc + 1
-		if m > limit {
-			m = limit
-		}
-		mi += m * inc
-		taken = m
-	}
-	return math.Ldexp(float64(mi), ulpExp), taken
+	e.calNext = next
+	return completed, nil
 }

@@ -60,8 +60,6 @@ func (e *engine) failNode(ni int32, now time.Time) error {
 			e.ledgerClose(slot, now, ledger.Requeued)
 		}
 		for _, other := range rj.nodes {
-			e.nodeProgress[other] = 0
-			e.blockTouch(other)
 			if other == ni {
 				e.nodeJob[other] = downNode
 				continue
@@ -70,16 +68,12 @@ func (e *engine) failNode(ni int32, now time.Time) error {
 			e.freePush(other)
 		}
 		e.orderRemove(slot)
-		if e.calOn {
-			e.calDrop(slot)
-		}
 		rj.job = nil
 		rj.nodes = rj.nodes[:0]
 		e.freeSlots = append(e.freeSlots, slot)
 	case idx == idleNode:
 		e.freeRemove(ni)
 		e.nodeJob[ni] = downNode
-		e.blockTouch(ni)
 	default:
 		return fmt.Errorf("sim: failure event fails node %d, which is already down", ni)
 	}
@@ -87,17 +81,15 @@ func (e *engine) failNode(ni int32, now time.Time) error {
 	return e.scheduler.AdjustCapacity(-1)
 }
 
-// recoverNode returns a failed node to the pool with fresh state — a
-// reboot: progress cleared, pushed to the free-ring tail. The node's
-// performance-variation coefficient survives (it models the hardware,
-// not the boot).
+// recoverNode returns a failed node to the pool — a reboot: pushed to
+// the free-ring tail (progress is reset when its next job starts). The
+// node's performance-variation coefficient survives (it models the
+// hardware, not the boot).
 func (e *engine) recoverNode(ni int32) error {
 	if e.nodeJob[ni] != downNode {
 		return fmt.Errorf("sim: recovery event recovers node %d, which is not down", ni)
 	}
 	e.nodeJob[ni] = idleNode
-	e.nodeProgress[ni] = 0
-	e.blockTouch(ni)
 	e.freePush(ni)
 	e.down--
 	return e.scheduler.AdjustCapacity(+1)

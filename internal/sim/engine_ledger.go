@@ -32,18 +32,18 @@ func (e *engine) ledgerClose(slot int32, now time.Time, reason ledger.CloseReaso
 }
 
 // ledgerSettle refreshes every running job's rate and the idle pool
-// after a measurement. rj.power is exactly the per-node wattage the
-// measurement kernel summed, so the ledger's accounts track the same
-// quantity the power integral accumulates; a job is throttled when its
-// cap pins it below the type's uncapped draw. Unchanged rates return in
-// O(1) inside the ledger, so a re-measure that moved nothing (or only
-// some jobs) costs proportionally little.
+// after a measurement. The ledger quantizes exactly the per-job and idle
+// wattages measure summed, so its total rate equals the measured
+// milliwatts and its total energy equals the tracking series' integral
+// to the microjoule; a job is throttled when its cap pins it below the
+// type's uncapped draw. Unchanged rates return in O(1) inside the
+// ledger, so a re-measure that moved nothing (or only some jobs) costs
+// proportionally little.
 func (e *engine) ledgerSettle(now time.Time) {
 	ms := now.UnixMilli()
 	for _, slot := range e.order {
 		rj := &e.jobs[slot]
-		e.cfg.Ledger.SetPower(e.ledH[slot], ms,
-			rj.power.Watts()*float64(len(rj.nodes)), rj.power < rj.typ.PMax)
+		e.cfg.Ledger.SetPower(e.ledH[slot], ms, rj.watts(), rj.power < rj.typ.PMax)
 	}
 	idle := len(e.nodeJob) - e.measuredBusy - e.down
 	e.cfg.Ledger.SetIdle(ms, idle, e.cfg.IdlePower.Watts())

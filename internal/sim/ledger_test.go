@@ -16,23 +16,25 @@ func ledgerEndMs(res Result) int64 {
 	return res.Tracking[len(res.Tracking)-1].Time.Add(time.Second).UnixMilli()
 }
 
-// trackingIntegralJ recomputes the run's float64 power integral exactly
-// as Run accumulates it: one left-to-right sum over the emitted rows.
-func trackingIntegralJ(res Result) float64 {
-	var integral float64
+// trackingMicroJ integrates the run's measured power in the ledger's
+// units: each emitted row is one second (1000 ms) at its measured
+// milliwatts.
+func trackingMicroJ(res Result) int64 {
+	var uj int64
 	for _, p := range res.Tracking {
-		integral += p.Measured.Watts()
+		uj += ledger.MilliWatts(p.Measured.Watts()) * 1000
 	}
-	return integral
+	return uj
 }
 
 // TestLedgerConservationBitExact is the acceptance-criteria audit: a
 // faulted, perf-varied run (requeues exercise the close/reopen path)
 // must produce a ledger whose double-entry identity holds exactly —
 // Σ(per-job µJ) + idle µJ == total µJ — and whose entire snapshot is
-// bit-identical across shards {1,3,8} × GOMAXPROCS {1,4}. The total is
-// additionally held against the float64 power integral within the
-// documented quantization tolerance.
+// bit-identical across shards {1,3,8} × GOMAXPROCS {1,4}. The total must
+// also equal the integral of the measured power series to the
+// microjoule: measurement sums the very milliwatt rates the ledger
+// integrates.
 func TestLedgerConservationBitExact(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var base ledger.Snapshot
@@ -61,11 +63,9 @@ func TestLedgerConservationBitExact(t *testing.T) {
 				t.Errorf("procs=%d shards=%d: ledger saw %d requeues, sim %d",
 					procs, shards, snap.Requeues, res.Requeues)
 			}
-			integral := trackingIntegralJ(res)
-			tol := ledger.IntegralToleranceJ(cfg.Nodes, float64(len(res.Tracking)))
-			if diff := snap.TotalJoules - integral; diff > tol || diff < -tol {
-				t.Errorf("procs=%d shards=%d: ledger total %.6f J vs power integral %.6f J (|Δ|=%.6f > tol %.6f)",
-					procs, shards, snap.TotalJoules, integral, diff, tol)
+			if integral := trackingMicroJ(res); snap.TotalMicroJ != integral {
+				t.Errorf("procs=%d shards=%d: ledger total %d µJ != measured power integral %d µJ",
+					procs, shards, snap.TotalMicroJ, integral)
 			}
 			if !baseSet {
 				base, baseSet = snap, true

@@ -1,19 +1,23 @@
 package sim
 
 // This file retains the original map-keyed simulator engine, verbatim
-// except for renames and for pinning every loop whose iteration order Go
+// except for renames, for pinning every loop whose iteration order Go
 // map semantics left unspecified to sorted job-ID order (the order the
 // original engine already used wherever order was observable — job
-// completion — and the order the dense-index engine uses everywhere).
-// The golden test in equiv_test.go runs it side by side with the
-// production engine and requires byte-identical results.
+// completion — and the order the dense-index engine uses everywhere),
+// and for the engine's arithmetic: per-node fixed-point progress
+// (progressDelta) and cluster power as integer milliwatts per job. The
+// golden test in equiv_test.go runs it side by side with the production
+// engine and requires byte-identical results.
 
 import (
 	"encoding/csv"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/ledger"
 	"repro/internal/perfmodel"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -27,7 +31,7 @@ type refNodeState struct {
 	cap      units.Power
 	power    units.Power
 	coeff    float64
-	progress float64
+	progress uint64
 }
 
 type refRunningJob struct {
@@ -118,10 +122,10 @@ func runReference(cfg Config) (Result, error) {
 				done := true
 				for _, ni := range rj.nodes {
 					n := &nodes[ni]
-					if n.progress < 1 {
-						n.progress += n.coeff * progressRate(rj.typ, n.cap)
+					if n.progress < progressOne {
+						n.progress += progressDelta(n.coeff, progressRate(&rj.typ, n.cap))
 					}
-					if n.progress < 1 {
+					if n.progress < progressOne {
 						done = false
 					}
 				}
@@ -176,8 +180,9 @@ func runReference(cfg Config) (Result, error) {
 		jobBudget := target - cfg.IdlePower*units.Power(idle)
 		referenceApplyCaps(cfg, running, nodes, jobBudget, now)
 
-		// 5. Measure and record: settle each node's achieved power, sum
-		// serially in index order.
+		// 5. Measure and record: settle each node's achieved power, then
+		// quantize each job's draw (per-node power × the nodes it holds in
+		// the node table) and the idle nodes' draw to milliwatts.
 		forShards(shards, len(nodes), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if nodes[i].jobID == "" {
@@ -191,10 +196,7 @@ func runReference(cfg Config) (Result, error) {
 				}
 			}
 		})
-		var measured units.Power
-		for i := range nodes {
-			measured += nodes[i].power
-		}
+		measured := referenceMeasure(nodes, cfg.IdlePower)
 		res.Tracking = append(res.Tracking, trace.Point{Time: now, Target: target, Measured: measured})
 		powerIntegral += measured.Watts()
 		steps++
@@ -249,6 +251,28 @@ func runReference(cfg Config) (Result, error) {
 		res.AvgPower = units.Power(powerIntegral / float64(steps))
 	}
 	return res, nil
+}
+
+// referenceMeasure is the naive per-node power sum: it walks the node
+// table, counts each job's nodes and the idle ones, and sums the same
+// per-job and idle milliwatt rates the energy ledger is given.
+func referenceMeasure(nodes []refNodeState, idlePower units.Power) units.Power {
+	perJob := map[string]int{}
+	power := map[string]units.Power{}
+	idle := 0
+	for i := range nodes {
+		if nodes[i].jobID == "" {
+			idle++
+			continue
+		}
+		perJob[nodes[i].jobID]++
+		power[nodes[i].jobID] = nodes[i].power
+	}
+	mw := int64(idle) * ledger.MilliWatts(idlePower.Watts())
+	for id, n := range perJob {
+		mw += ledger.MilliWatts(power[id].Watts() * float64(n))
+	}
+	return units.Power(float64(mw) / 1e3)
 }
 
 // referenceApplyCaps is the original per-step capping pass: a fresh
@@ -319,4 +343,35 @@ func referenceApplyCaps(cfg Config, running map[string]*refRunningJob, nodes []r
 			nodes[ni].cap = cap
 		}
 	}
+}
+
+// forShards is the reference engine's original per-step sharding: it
+// invokes fn over near-equal subranges of [0, n), concurrently
+// when shards > 1 and serially otherwise, returning only after every
+// shard completes (the per-phase barrier). fn must confine its writes to
+// state owned by indices in [lo, hi); any state it reads outside that
+// range must not be written by other shards during the call. Each index
+// is visited by exactly one shard with identical arithmetic regardless of
+// shard count, so results are bit-identical to the serial loop.
+func forShards(shards, n int, fn func(lo, hi int)) {
+	if shards <= 1 || n <= 1 {
+		fn(0, n)
+		return
+	}
+	if shards > n {
+		shards = n
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < shards; s++ {
+		lo, hi := s*n/shards, (s+1)*n/shards
+		if lo == hi {
+			continue
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
 }

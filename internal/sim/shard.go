@@ -1,16 +1,13 @@
 package sim
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // autoShardMinNodes is the cluster size below which auto-sharding stays
 // serial. The dense-index engine moved per-node work out of the sharded
-// loop (rates and caps are per-job, measurement is a serial sum), so the
-// remaining progress advance costs a few nanoseconds per busy node — even
-// the persistent worker pool's wake/barrier round trip (see pool.go) only
-// pays for itself in the tens of thousands of nodes. Results are
+// loop (rates and caps are per-job, measurement is a per-job sum), so the
+// oracle's per-step progress advance costs a few nanoseconds per busy
+// node — even the persistent worker pool's wake/barrier round trip (see
+// pool.go) only pays for itself in the tens of thousands of nodes. Results are
 // bit-identical at every setting, so the threshold is purely a
 // performance knob.
 const autoShardMinNodes = 16384
@@ -35,34 +32,4 @@ func resolveShards(requested, nodes int) int {
 		s = 1
 	}
 	return s
-}
-
-// forShards invokes fn over near-equal subranges of [0, n), concurrently
-// when shards > 1 and serially otherwise, returning only after every
-// shard completes (the per-phase barrier). fn must confine its writes to
-// state owned by indices in [lo, hi); any state it reads outside that
-// range must not be written by other shards during the call. Each index
-// is visited by exactly one shard with identical arithmetic regardless of
-// shard count, so results are bit-identical to the serial loop.
-func forShards(shards, n int, fn func(lo, hi int)) {
-	if shards <= 1 || n <= 1 {
-		fn(0, n)
-		return
-	}
-	if shards > n {
-		shards = n
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		lo, hi := s*n/shards, (s+1)*n/shards
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

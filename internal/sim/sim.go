@@ -11,6 +11,9 @@
 // scales linearly between the job type's slowest rate (at the minimum cap)
 // and fastest rate (at its maximum power), multiplied by a per-node
 // performance-variation coefficient drawn once per simulation (§6.4).
+// Progress is kept in integer fixed point and cluster power in integer
+// milliwatts (engine_calendar.go, engine.measure), so every closed form
+// the engine uses is exact.
 //
 // The core is allocation-free at steady state: jobs and nodes reference
 // each other through dense integer indices into reusable tables (see
@@ -55,11 +58,11 @@ import (
 type Config struct {
 	// Nodes is the cluster size. Required positive.
 	Nodes int
-	// Shards bounds the worker count for the per-second node-table
-	// loops (progress advance, power measurement). Zero selects
-	// automatically: GOMAXPROCS for large clusters, serial for small
-	// ones where the fan-out costs more than it buys. One forces
-	// serial. Results are bit-identical for every setting.
+	// Shards bounds the worker count for the per-step progress loop of
+	// the DisableCalendar oracle (the calendar has no per-node loop to
+	// shard). Zero selects automatically: GOMAXPROCS for large clusters,
+	// serial for small ones where the fan-out costs more than it buys.
+	// One forces serial. Results are bit-identical for every setting.
 	Shards int
 	// IdlePower is the draw of an idle node (default 70 W).
 	IdlePower units.Power
@@ -117,14 +120,14 @@ type Config struct {
 	// both against each other and the reference engine).
 	DisableEventDriven bool
 	// DisableCalendar forces per-step progress advancement: every busy
-	// node's progress is incremented every simulated second, the
-	// pre-calendar behaviour, retained as the oracle the calendar is
+	// node's fixed-point progress is incremented every simulated second,
+	// the pre-calendar behaviour, retained as the oracle the calendar is
 	// tested against. By default the engine computes each job's
 	// completion second in closed form whenever its cap is set (start
-	// and every recap) and buckets it into a completion calendar, so the
-	// progress phase costs O(completions due this second) instead of
-	// O(busy nodes) and busy-but-quiet intervals fast-forward like idle
-	// ones. Results are bit-identical either way (calendar_test.go holds
+	// and every recap), so the progress phase costs O(1) on seconds with
+	// nothing due and one walk of the running jobs on seconds with a
+	// completion, instead of O(busy nodes) every second, and
+	// busy-but-quiet intervals fast-forward like idle ones. Results are bit-identical either way (calendar_test.go holds
 	// both paths against each other across scenarios, failure schedules,
 	// shard counts, and GOMAXPROCS).
 	DisableCalendar bool
@@ -166,9 +169,9 @@ type Config struct {
 	// Telemetry, when non-nil, receives one retained sample per simulated
 	// second for power target/measured, busy nodes, and running/queued
 	// jobs, stamped in virtual time — the series anor-top renders and the
-	// flight recorder persists. The per-node inputs are aggregated inside
-	// the sharded measurement kernel (see engine.measure), so enabling
-	// this adds no per-node work and ~0 allocations per step.
+	// flight recorder persists. Its inputs fall out of the per-job
+	// measurement (see engine.measure), so enabling this adds no per-node
+	// work and ~0 allocations per step.
 	Telemetry *telemetry.Store
 	// Ledger, when non-nil, receives per-job energy attribution: jobs
 	// open when they bind nodes, close on completion (or requeue after a
@@ -445,8 +448,9 @@ func Run(cfg Config) (Result, error) {
 	var lastJobBudget units.Power
 	var measured units.Power
 	haveBudget, haveMeasured := false, false
-	// Bind the progress phase once: the completion calendar pops due
-	// jobs off a heap; the per-step oracle touches every busy node.
+	// Bind the progress phase once: the completion calendar completes
+	// the jobs scheduled for this second; the per-step oracle touches
+	// every busy node.
 	advance := e.advanceAndComplete
 	if e.calOn {
 		advance = e.calendarAdvanceAndComplete
@@ -660,12 +664,10 @@ func Run(cfg Config) (Result, error) {
 						}
 					}
 				}
-				// A stale heap top only shortens the window — the landing
-				// step pops it as a cheap clean step.
-				if len(e.calHeap) > 0 {
-					if s := int(e.calHeap[0].step); s < end {
-						end = s
-					}
+				// A stale-low calNext only shortens the window — the
+				// landing step completes nothing and recomputes it.
+				if e.calNext < int64(end) {
+					end = int(e.calNext)
 				}
 				running := len(e.order)
 				queuedN := scheduler.QueuedCount()
@@ -813,8 +815,10 @@ func ceilSeconds(d time.Duration) int {
 
 // progressRate returns fraction-per-second progress for a node of the
 // given type at a cap, per the paper's linear interpolation between the
-// precharacterized fastest and slowest rates.
-func progressRate(t workload.Type, cap units.Power) float64 {
+// precharacterized fastest and slowest rates. The type is passed by
+// pointer: the calendar prices every running job on every recap, and a
+// by-value Type is a sizeable copy.
+func progressRate(t *workload.Type, cap units.Power) float64 {
 	fast := 1 / t.BaseSeconds
 	slow := 1 / (t.BaseSeconds * t.MaxSlowdown)
 	switch {

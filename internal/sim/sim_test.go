@@ -203,8 +203,9 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestUncappedJobRunsAtBaseTime(t *testing.T) {
-	// One job, huge power target: execution time should equal BaseSeconds
-	// (±1 s step quantization).
+	// One job, huge power target: execution time equals BaseSeconds
+	// exactly (a whole number of seconds; see
+	// TestIntegralBaseSecondsFinishExactly).
 	typ := workload.MustByName("mg")
 	cfg := Config{
 		Nodes: 4, Types: []workload.Type{typ},
@@ -221,8 +222,8 @@ func TestUncappedJobRunsAtBaseTime(t *testing.T) {
 		t.Fatalf("jobs = %d", len(res.Jobs))
 	}
 	exec := (res.Jobs[0].End - res.Jobs[0].Start).Seconds()
-	if math.Abs(exec-typ.BaseSeconds) > 2 {
-		t.Errorf("exec = %v s, want ≈%v", exec, typ.BaseSeconds)
+	if exec != typ.BaseSeconds {
+		t.Errorf("exec = %v s, want %v", exec, typ.BaseSeconds)
 	}
 }
 
@@ -437,21 +438,21 @@ func TestTableLogWritesRows(t *testing.T) {
 
 func TestProgressRateEndpoints(t *testing.T) {
 	typ := workload.MustByName("bt")
-	fast := progressRate(typ, typ.PMax)
-	slow := progressRate(typ, typ.PMin)
+	fast := progressRate(&typ, typ.PMax)
+	slow := progressRate(&typ, typ.PMin)
 	if math.Abs(1/fast-typ.BaseSeconds) > 1e-9 {
 		t.Errorf("fast rate inverse = %v", 1/fast)
 	}
 	if math.Abs(1/slow-typ.BaseSeconds*typ.MaxSlowdown) > 1e-9 {
 		t.Errorf("slow rate inverse = %v", 1/slow)
 	}
-	if progressRate(typ, units.Power(1000)) != fast {
+	if progressRate(&typ, units.Power(1000)) != fast {
 		t.Error("above PMax not clamped")
 	}
-	if progressRate(typ, units.Power(10)) != slow {
+	if progressRate(&typ, units.Power(10)) != slow {
 		t.Error("below PMin not clamped")
 	}
-	mid := progressRate(typ, (typ.PMin+typ.PMax)/2)
+	mid := progressRate(&typ, (typ.PMin+typ.PMax)/2)
 	if math.Abs(mid-(fast+slow)/2) > 1e-12 {
 		t.Errorf("midpoint rate not linear: %v vs %v", mid, (fast+slow)/2)
 	}

@@ -7,83 +7,86 @@ import (
 	"time"
 
 	"repro/internal/dr"
+	"repro/internal/ledger"
 	"repro/internal/schedule"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
-// blockTestConfig is a cluster wide enough to span several measurement
-// blocks once measureBlockNodes is shrunk, busy enough that the power
-// sum mixes job and idle terms.
-func blockTestConfig(t *testing.T, shards int) Config {
-	t.Helper()
+// TestMeasureMatchesNaivePerNodeSum holds the O(running jobs)
+// measurement to a naive walk of the node table: over random clusters
+// with random memberships, down nodes, caps above and below each type's
+// uncapped draw, and stale freed job slots, counting every node where
+// the node table says it is and summing the same milliwatt rates (each
+// job's settled power × the nodes it holds, idle nodes at the idle
+// power, down nodes at nothing) must give exactly the measured power
+// and busy count.
+func TestMeasureMatchesNaivePerNodeSum(t *testing.T) {
+	rng := stats.NewRNG(29)
 	types := workload.LongRunning()
-	arrivals, err := schedule.Generate(schedule.Config{
-		RNG: stats.NewRNG(23), Types: types,
-		Utilization: 0.8, TotalNodes: 96, Horizon: 10 * time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Config{
-		Nodes:        96,
-		Shards:       shards,
-		Types:        types,
-		Arrivals:     arrivals,
-		Bid:          dr.Bid{AvgPower: 96 * 180, Reserve: 96 * 60},
-		Signal:       dr.NewRandomWalk(23, 4*time.Second, 0.25, time.Hour),
-		Horizon:      10 * time.Minute,
-		Seed:         23,
-		VariationStd: 0.1,
-	}
-}
-
-// TestMeasureBlockReductionMatchesSerialSum pins the key property of the
-// blocked measurement: with one-node blocks the block merge IS the seed's
-// serial left-to-right sum, and a block width larger than the cluster
-// reduces in a single serially-summed block — both must produce the same
-// result, byte for byte. Any re-association bug in the kernel or the
-// merge shows up here.
-func TestMeasureBlockReductionMatchesSerialSum(t *testing.T) {
-	old := measureBlockNodes
-	defer func() { measureBlockNodes = old }()
-
-	measureBlockNodes = 1 // merge order = node order = the serial sum
-	serial, err := Run(blockTestConfig(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	measureBlockNodes = 1 << 30 // whole cluster in one block
-	single, err := Run(blockTestConfig(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, single) {
-		t.Fatal("one-node blocks and a single whole-cluster block disagree; the block merge is not the serial sum")
-	}
-}
-
-// TestMeasureBlockReductionShardInvariant forces multi-block reduction
-// (7-node blocks over a 96-node cluster → 14 blocks) and checks the
-// result is bit-identical at every shard count: block boundaries depend
-// only on the block width, never on who computes them.
-func TestMeasureBlockReductionShardInvariant(t *testing.T) {
-	old := measureBlockNodes
-	defer func() { measureBlockNodes = old }()
-	measureBlockNodes = 7
-
-	base, err := Run(blockTestConfig(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 3, 8} {
-		got, err := Run(blockTestConfig(t, shards))
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+	for trial := 0; trial < 300; trial++ {
+		nodes := 1 + rng.Intn(400)
+		e := &engine{
+			cfg:     Config{IdlePower: units.Power(rng.Uniform(40, 90))},
+			nodeJob: make([]int32, nodes),
 		}
-		if !reflect.DeepEqual(base, got) {
-			t.Errorf("shards=%d: blocked measurement changed the result", shards)
+		for i := range e.nodeJob {
+			e.nodeJob[i] = idleNode
+		}
+		perm := rng.Perm(nodes)
+		next := 0
+		for next < len(perm) && rng.Float64() < 0.9 {
+			rj := runningJob{
+				typ: types[rng.Intn(len(types))],
+				cap: units.Power(rng.Uniform(130, 290)),
+			}
+			slot := int32(len(e.jobs))
+			for k := 1 + rng.Intn(8); k > 0 && next < len(perm); k-- {
+				rj.nodes = append(rj.nodes, int32(perm[next]))
+				e.nodeJob[perm[next]] = slot
+				next++
+			}
+			e.jobs = append(e.jobs, rj)
+			if rng.Float64() < 0.2 {
+				// A freed slot: its job left, its nodes went back to idle,
+				// and its stale table entry must not be counted.
+				for _, ni := range rj.nodes {
+					e.nodeJob[ni] = idleNode
+				}
+				continue
+			}
+			e.order = append(e.order, slot)
+		}
+		for ; next < len(perm); next++ {
+			if rng.Float64() < 0.3 {
+				e.nodeJob[perm[next]] = downNode
+				e.down++
+			}
+		}
+
+		count := make([]int, len(e.jobs))
+		idle, busy := 0, 0
+		for _, v := range e.nodeJob {
+			switch {
+			case v == idleNode:
+				idle++
+			case v >= 0:
+				count[v]++
+				busy++
+			}
+		}
+		want := int64(idle) * ledger.MilliWatts(e.cfg.IdlePower.Watts())
+		for slot, n := range count {
+			if n > 0 {
+				rj := e.jobs[slot]
+				want += ledger.MilliWatts(min(rj.cap, rj.typ.PMax).Watts() * float64(n))
+			}
+		}
+		if got := e.measure(); got != units.Power(float64(want)/1e3) || e.measuredBusy != busy {
+			t.Fatalf("trial %d: measure = %v W busy %d, naive per-node sum %d mW busy %d",
+				trial, got, e.measuredBusy, want, busy)
 		}
 	}
 }
@@ -195,11 +198,9 @@ func TestTelemetryAllocsPerStep(t *testing.T) {
 
 // TestTelemetryOffIsBitIdenticalToSeed pins that a telemetry-less config
 // still produces byte-identical results to one that never heard of the
-// field — i.e. the blocked measurement alone (the only hot-path change)
-// preserves the seed's outputs on clusters at or below one block. The
-// deep-equal against a second bare run guards against any hidden global
-// state; the cross-check against a telemetry-enabled run guards the
-// observational contract.
+// field. The deep-equal against a second bare run guards against any
+// hidden global state; the cross-check against a telemetry-enabled run
+// guards the observational contract.
 func TestTelemetryOffIsBitIdenticalToSeed(t *testing.T) {
 	a, err := Run(smallConfig(t, 11, 0.1))
 	if err != nil {
