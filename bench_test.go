@@ -306,7 +306,7 @@ func sweepBenchRun(baseSeed uint64, run int) error {
 		return err
 	}
 	_, err = sim.Run(sim.Config{
-		Nodes: 32, Shards: 1, Types: types, Weights: weights, Arrivals: arrivals,
+		Nodes: 32, Types: types, Weights: weights, Arrivals: arrivals,
 		Bid:     dr.Bid{AvgPower: 5000, Reserve: 1000},
 		Signal:  dr.NewRandomWalk(seed^0xf16, 4*time.Second, 0.25, time.Hour),
 		Horizon: 5 * time.Minute,

@@ -20,7 +20,7 @@
 // declarative SLO rules over the virtual-time rollups, printing a
 // machine-readable slo-verdict: line. None of it changes any simulated
 // number: observability is strictly read-only against the deterministic
-// sharded simulator.
+// simulator.
 package main
 
 import (
@@ -67,12 +67,9 @@ func main() {
 	failuresPath := flag.String("failures", "", "node fail-stop/recovery schedule (JSON lines: {\"at_ns\",\"node\",\"kind\"}); empty disables")
 	runs := flag.Int("runs", 1, "independent runs; >1 reports per-run lines plus mean±std aggregates")
 	parallel := flag.Int("parallel", 0, "concurrent runs when -runs > 1 (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "worker shards for the per-node progress loop of -calendar=false (0 = auto; forced to 1 inside a multi-run sweep)")
 	progress := flag.Bool("progress", true, "print a live progress/throughput line on stderr when -runs > 1")
 	eventsOut := flag.String("events", "", "stream structured JSONL events (dr_bid, sim_step) to this file; empty disables")
 	tracePath := flag.String("trace", "", "stream arrivals from a job trace (.csv or .jsonl) instead of the synthetic generator; -util and -scale are ignored")
-	eventDriven := flag.Bool("event-driven", true, "skip provably no-op per-second work and fast-forward idle intervals (results are bit-identical either way)")
-	calendar := flag.Bool("calendar", true, "advance job progress via the closed-form completion calendar instead of per-node per-second updates (results are bit-identical either way)")
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /timeseries, and pprof on this address so anor-top can attach live; empty disables")
 	recordOut := flag.String("record", "", "write every telemetry sample to this binary flight-recorder file (replayable with anor-top -replay)")
 	profileDir := flag.String("profile-dir", "", "rotate continuous CPU+heap profiles into this directory; empty disables")
@@ -221,9 +218,7 @@ func main() {
 		probeCfg := sim.Config{
 			Nodes: *nodes, Types: types, Weights: weights, Arrivals: arrivals,
 			Bid:    dr.Bid{AvgPower: units.Power(*nodes) * workload.NodeTDP, Reserve: 0},
-			Signal: dr.Constant(0), Horizon: horizon, Seed: *seed, Shards: *shards,
-			DisableEventDriven: !*eventDriven,
-			DisableCalendar:    !*calendar,
+			Signal: dr.Constant(0), Horizon: horizon, Seed: *seed,
 		}
 		if *tracePath != "" {
 			r := openTrace()
@@ -271,26 +266,23 @@ func main() {
 		defaultModel = workload.LeastSensitive().RelativeModel()
 	}
 	stepCounter := obs.NewCounter()
-	mkConfig := func(runSeed uint64, arr []schedule.Arrival, runShards int, runID string) sim.Config {
+	mkConfig := func(runSeed uint64, arr []schedule.Arrival, runID string) sim.Config {
 		cfg := sim.Config{
 			Nodes: *nodes, Types: types, Weights: weights, Arrivals: arr,
-			Bid:                bid,
-			Signal:             dr.NewRandomWalk(runSeed^0x5eed, 4*time.Second, 0.25, 8*horizon),
-			Horizon:            horizon,
-			Seed:               runSeed,
-			Shards:             runShards,
-			VariationStd:       *variation / 2.576, // 99% within ±level
-			FeedbackQoSExempt:  *feedback,
-			Failures:           failures,
-			Budgeter:           budgeter,
-			TypeModels:         typeModels,
-			DefaultModel:       defaultModel,
-			DisableEventDriven: !*eventDriven,
-			DisableCalendar:    !*calendar,
-			TrackWarmup:        2 * time.Minute,
-			Tracer:             tracer,
-			Progress:           stepCounter,
-			RunID:              runID,
+			Bid:               bid,
+			Signal:            dr.NewRandomWalk(runSeed^0x5eed, 4*time.Second, 0.25, 8*horizon),
+			Horizon:           horizon,
+			Seed:              runSeed,
+			VariationStd:      *variation / 2.576, // 99% within ±level
+			FeedbackQoSExempt: *feedback,
+			Failures:          failures,
+			Budgeter:          budgeter,
+			TypeModels:        typeModels,
+			DefaultModel:      defaultModel,
+			TrackWarmup:       2 * time.Minute,
+			Tracer:            tracer,
+			Progress:          stepCounter,
+			RunID:             runID,
 		}
 		if *tracePath != "" {
 			// Each run streams the trace through its own reader; the
@@ -301,7 +293,7 @@ func main() {
 	}
 
 	if *runs == 1 {
-		cfg := mkConfig(*seed, arrivals, *shards, "run0")
+		cfg := mkConfig(*seed, arrivals, "run0")
 		// Sim series carry virtual timestamps; only a single run records
 		// them (concurrent sweep runs would all stamp the same virtual
 		// seconds and collide in one store).
@@ -340,13 +332,7 @@ func main() {
 	}
 
 	// Multi-run sweep: each run derives its seed from the flat run index,
-	// so results are deterministic in -seed regardless of -parallel. The
-	// sweep saturates the worker pool, so each simulator keeps its own
-	// node-table sharding off unless -shards was set explicitly.
-	innerShards := *shards
-	if innerShards == 0 {
-		innerShards = 1
-	}
+	// so results are deterministic in -seed regardless of -parallel.
 	runsDone := obs.NewCounter()
 	stopProgress := startProgress(*progress, *runs, stepCounter, runsDone)
 	results, err := sweep.Map(context.Background(), *runs,
@@ -364,7 +350,7 @@ func main() {
 					return sim.Result{}, err
 				}
 			}
-			cfg := mkConfig(runSeed, arr, innerShards, fmt.Sprintf("run%d", run))
+			cfg := mkConfig(runSeed, arr, fmt.Sprintf("run%d", run))
 			res, err := sim.Run(cfg)
 			if r, ok := cfg.Source.(*tracein.Reader); ok {
 				r.Close()

@@ -104,8 +104,7 @@ func Fig11(cfg Fig11Config) ([]Fig11Level, error) {
 	// whole grid fans out across a sweep pool, with per-cell seeds
 	// derived from the flat grid index. The shared inputs (types,
 	// weights, bid) are immutable from here on; each cell builds its own
-	// schedule, signal, and simulator state. Cells keep the simulator's
-	// own node-table sharding off — the sweep already saturates the pool.
+	// schedule, signal, and simulator state.
 	type trialOut struct {
 		p90ByType map[string]float64
 		trackOK   bool
@@ -128,7 +127,6 @@ func Fig11(cfg Fig11Config) ([]Fig11Level, error) {
 			arrivals = append(prewarmWave(types, cfg.Utilization, cfg.Nodes, nil), arrivals...)
 			res, err := sim.Run(sim.Config{
 				Nodes:             cfg.Nodes,
-				Shards:            1,
 				Types:             types,
 				Weights:           weights,
 				Arrivals:          arrivals,

@@ -29,19 +29,10 @@ type SimPerfConfig struct {
 	Repeats int
 	// Seed drives the workload schedule and node variation.
 	Seed uint64
-	// Shards bounds the node-table worker count (0 = the simulator's
-	// auto policy).
-	Shards int
 	// MaxProcs, when positive, pins runtime.GOMAXPROCS for the
 	// measurement window (restored afterwards), so one process can record
 	// single-core and multi-core rows back to back.
 	MaxProcs int
-	// FullStepping disables the event-driven stepper, measuring the
-	// recompute-everything-per-second baseline.
-	FullStepping bool
-	// DisableCalendar disables the completion calendar, measuring the
-	// per-step progress-advance oracle.
-	DisableCalendar bool
 	// Telemetry attaches a rollup store with a flight recorder (writing
 	// to a discarding sink) to every run, measuring the retained-
 	// telemetry overhead against an otherwise identical configuration.
@@ -71,11 +62,6 @@ type SimPerfResult struct {
 	// GoVersion and MaxProcs record the measurement environment.
 	GoVersion string `json:"go"`
 	MaxProcs  int    `json:"maxprocs"`
-	// Shards is the node-table worker bound the run used (0 = auto).
-	Shards int `json:"shards,omitempty"`
-	// EventDriven records whether the event-driven stepper was on.
-	// Results are bit-identical either way; only throughput moves.
-	EventDriven bool `json:"event_driven,omitempty"`
 	// Telemetry records whether a rollup store + flight recorder were
 	// attached for the measurement.
 	Telemetry bool `json:"telemetry,omitempty"`
@@ -127,8 +113,6 @@ func SimPerf(cfg SimPerfConfig) (SimPerfResult, error) {
 	}
 	simCfg := sim.Config{
 		Nodes: cfg.Nodes, Types: types, Weights: weights, Arrivals: arrivals,
-		Shards: cfg.Shards, DisableEventDriven: cfg.FullStepping,
-		DisableCalendar: cfg.DisableCalendar,
 		// Matches the BenchmarkSimStep bid (150 W/node average, 30 W/node
 		// reserve) so history entries and bench runs describe one workload.
 		Bid:          dr.Bid{AvgPower: units.Power(cfg.Nodes) * 150, Reserve: units.Power(cfg.Nodes) * 30},
@@ -200,8 +184,6 @@ func SimPerf(cfg SimPerfConfig) (SimPerfResult, error) {
 				AllocsPerStep: float64(m1.Mallocs-m0.Mallocs) / float64(steps),
 				GoVersion:     runtime.Version(),
 				MaxProcs:      runtime.GOMAXPROCS(0),
-				Shards:        cfg.Shards,
-				EventDriven:   !cfg.FullStepping,
 				Telemetry:     cfg.Telemetry,
 				Ledger:        cfg.Ledger,
 			}

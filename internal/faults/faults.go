@@ -9,7 +9,7 @@
 // come from a seeded RNG advanced once per frame, and node failures come
 // from explicit, validated schedules. The same seed and schedule always
 // produce the same fault sequence, so chaos tests are reproducible and
-// the simulator's failure runs stay bit-identical across shard counts.
+// the simulator's failure runs are bit-identical from run to run.
 //
 // The production tiers (proto deadlines, clustermgr liveness/eviction,
 // endpointd reconnect/failsafe) are hardened against exactly the regime

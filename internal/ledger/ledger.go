@@ -14,7 +14,7 @@
 // (MilliWatts), time advances in int64 milliseconds, and energy
 // accumulates in int64 microjoules (1 mW·ms = 1 µJ). Integer addition is
 // exact and associative, so the conservation identity holds bit-exactly
-// regardless of call order, shard count, or GOMAXPROCS — any violation
+// regardless of call order or GOMAXPROCS — any violation
 // is a bookkeeping bug (a double-close, a missed settlement on requeue),
 // which is precisely what the audit exists to catch. The simulator
 // measures cluster power as the sum of the very same milliwatt rates it

@@ -1,19 +1,11 @@
 package sim
 
 import (
-	"bytes"
-	"fmt"
 	"math"
-	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/budget"
 	"repro/internal/dr"
-	"repro/internal/faults"
-	"repro/internal/ledger"
-	"repro/internal/perfmodel"
 	"repro/internal/schedule"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -163,9 +155,10 @@ func TestCalendarDueMatchesNaive(t *testing.T) {
 // TestIntegralBaseSecondsFinishExactly pins what rounding the per-step
 // increment up buys: an uncapped job on a coefficient-1 node whose
 // BaseSeconds is a whole number B runs exactly B seconds — for every B
-// in 1…10⁵ in closed form, and end to end through both the calendar and
-// the per-step oracle. (A float progress chain finishes one step late
-// for about half of these: ten additions of fl(0.1) stop short of 1.)
+// in 1…10⁵ in closed form, and end to end through both the engine and
+// the per-second reference oracle. (A float progress chain finishes one
+// step late for about half of these: ten additions of fl(0.1) stop short
+// of 1.)
 func TestIntegralBaseSecondsFinishExactly(t *testing.T) {
 	for b := 1; b <= 100000; b++ {
 		typ := workload.Type{BaseSeconds: float64(b), MaxSlowdown: 2, PMin: 140, PMax: 280}
@@ -173,167 +166,29 @@ func TestIntegralBaseSecondsFinishExactly(t *testing.T) {
 			t.Fatalf("BaseSeconds %d finishes after %d steps", b, got)
 		}
 	}
+	engines := []struct {
+		name string
+		run  func(Config) (Result, error)
+	}{{"engine", Run}, {"reference", runReference}}
 	for _, b := range []int{1, 3, 10, 49, 1000, 3599} {
 		typ := workload.Type{Name: "whole", Nodes: 2, BaseSeconds: float64(b), Epochs: 1,
 			MaxSlowdown: 2, PMin: 140, PMax: 280, MidFrac: 0.4}
-		for _, perStep := range []bool{false, true} {
-			res, err := Run(Config{
+		for _, eng := range engines {
+			res, err := eng.run(Config{
 				Nodes: 2, Types: []workload.Type{typ},
-				Arrivals:        []schedule.Arrival{{At: 0, JobID: "solo", TypeName: typ.Name, ClaimedType: typ.Name}},
-				Bid:             dr.Bid{AvgPower: 2 * 300, Reserve: 1},
-				Signal:          dr.Constant(0),
-				Horizon:         time.Duration(b+10) * time.Second,
-				DisableCalendar: perStep,
+				Arrivals: []schedule.Arrival{{At: 0, JobID: "solo", TypeName: typ.Name, ClaimedType: typ.Name}},
+				Bid:      dr.Bid{AvgPower: 2 * 300, Reserve: 1},
+				Signal:   dr.Constant(0),
+				Horizon:  time.Duration(b+10) * time.Second,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(res.Jobs) != 1 {
-				t.Fatalf("B=%d perStep=%v: %d jobs completed", b, perStep, len(res.Jobs))
+				t.Fatalf("B=%d %s: %d jobs completed", b, eng.name, len(res.Jobs))
 			}
 			if exec := res.Jobs[0].End - res.Jobs[0].Start; exec != time.Duration(b)*time.Second {
-				t.Errorf("B=%d perStep=%v: ran %v", b, perStep, exec)
-			}
-		}
-	}
-}
-
-// TestCalendarMatchesPerStep is the golden guard for the completion
-// calendar: across workload scenarios, fail-stop overlays, recap cadences
-// (the stepped signal's period sets how often caps — and therefore
-// calendar entries — are rebuilt), shard counts, and GOMAXPROCS, the
-// calendar engine must reproduce the per-step oracle exactly — deeply
-// equal Result, byte-identical TableLog, and a bit-identical, conserved
-// energy ledger.
-func TestCalendarMatchesPerStep(t *testing.T) {
-	models := map[string]perfmodel.Model{}
-	for _, typ := range workload.LongRunning() {
-		models[typ.Name] = typ.RelativeModel()
-	}
-	scenarios := []struct {
-		name   string
-		config func() Config
-	}{
-		{"walk", func() Config { return smallConfig(t, 3, 0.15) }},
-		{"fixed-target", func() Config {
-			c := smallConfig(t, 5, 0.1)
-			c.Bid.Reserve = 0
-			c.Signal = dr.Constant(0.7)
-			return c
-		}},
-		{"sine", func() Config {
-			c := smallConfig(t, 7, 0.1)
-			c.Signal = dr.Sine{Period: 3 * time.Minute, Amplitude: 0.8}
-			return c
-		}},
-		{"budgeter", func() Config {
-			c := smallConfig(t, 9, 0.1)
-			c.Budgeter = budget.EvenSlowdown{}
-			c.TypeModels = models
-			c.DefaultModel = workload.LeastSensitive().RelativeModel()
-			return c
-		}},
-		{"feedback", func() Config {
-			c := smallConfig(t, 11, 0.1)
-			c.Budgeter = budget.EvenSlowdown{}
-			c.TypeModels = models
-			c.DefaultModel = workload.LeastSensitive().RelativeModel()
-			c.FeedbackQoSExempt = true
-			c.QoSLimit = 0.5
-			c.ExemptFraction = 0.5
-			return c
-		}},
-		// Idle-heavy: the calendar must compose with the event-driven
-		// fast-forward across long quiet gaps.
-		{"sparse", func() Config { return sparseConfig(13) }},
-	}
-	failureOverlays := []struct {
-		name   string
-		events []faults.NodeEvent
-	}{
-		{"no-failures", nil},
-		{"fail-stop", []faults.NodeEvent{
-			{At: 3 * time.Minute, Node: 2, Kind: faults.KindFail},
-			{At: 6 * time.Minute, Node: 7, Kind: faults.KindFail},
-			{At: 9 * time.Minute, Node: 2, Kind: faults.KindRecover},
-			{At: 12 * time.Minute, Node: 11, Kind: faults.KindFail},
-			{At: 15 * time.Minute, Node: 7, Kind: faults.KindRecover},
-			{At: 18 * time.Minute, Node: 11, Kind: faults.KindRecover},
-		}},
-	}
-	cadences := []struct {
-		name   string
-		period time.Duration
-	}{{"recap-2s", 2 * time.Second}, {"recap-8s", 8 * time.Second}}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, sc := range scenarios {
-		for _, fo := range failureOverlays {
-			for _, cad := range cadences {
-				base := sc.config()
-				base.Failures = fo.events
-				// Recap cadence only moves for stepped-walk signals; the
-				// fixed/sine cells keep their signal and simply repeat.
-				if _, stepped := base.Signal.(dr.Stepped); stepped {
-					base.Signal = dr.NewRandomWalk(base.Seed, cad.period, 0.25, time.Hour)
-				}
-
-				// Oracle: per-step progress advance, no calendar, no
-				// event-driven stepper, serial.
-				oracle := base
-				oracle.DisableCalendar = true
-				oracle.DisableEventDriven = true
-				oracle.Shards = 1
-				var wantLog bytes.Buffer
-				oracle.TableLog = &wantLog
-				wantLed := ledger.New()
-				oracle.Ledger = wantLed
-				want, err := Run(oracle)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: oracle: %v", sc.name, fo.name, cad.name, err)
-				}
-				if len(want.Jobs) == 0 {
-					t.Fatalf("%s/%s/%s: degenerate scenario, no jobs completed", sc.name, fo.name, cad.name)
-				}
-				if sc.name == "walk" && fo.events != nil && want.Requeues == 0 {
-					t.Fatalf("%s/%s: failure schedule killed no running jobs; widen it", sc.name, fo.name)
-				}
-				wantSnap := wantLed.SnapshotAt(ledgerEndMs(want))
-				if !wantSnap.Conserved {
-					t.Fatalf("%s/%s/%s: oracle ledger conservation broken: delta=%d µJ",
-						sc.name, fo.name, cad.name, wantSnap.ConservationDeltaMicroJ)
-				}
-
-				for _, procs := range []int{1, 4} {
-					for _, shards := range []int{1, 3, 8} {
-						t.Run(fmt.Sprintf("%s/%s/%s/procs%d/shards%d", sc.name, fo.name, cad.name, procs, shards), func(t *testing.T) {
-							runtime.GOMAXPROCS(procs)
-							cfg := base
-							cfg.Shards = shards
-							var gotLog bytes.Buffer
-							cfg.TableLog = &gotLog
-							led := ledger.New()
-							cfg.Ledger = led
-							got, err := Run(cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Error("calendar Result differs from per-step oracle")
-							}
-							if !bytes.Equal(gotLog.Bytes(), wantLog.Bytes()) {
-								t.Error("calendar TableLog byte stream differs from per-step oracle")
-							}
-							snap := led.SnapshotAt(ledgerEndMs(got))
-							if !snap.Conserved {
-								t.Errorf("ledger conservation broken: delta=%d µJ", snap.ConservationDeltaMicroJ)
-							}
-							if !reflect.DeepEqual(snap, wantSnap) {
-								t.Error("ledger snapshot differs from per-step oracle")
-							}
-						})
-					}
-				}
+				t.Errorf("B=%d %s: ran %v", b, eng.name, exec)
 			}
 		}
 	}

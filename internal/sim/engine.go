@@ -30,8 +30,8 @@ import (
 //     pop from the head, completions push at the tail, preserving the
 //     original queue semantics without the original's slice churn.
 //
-// All scratch buffers (doneFlags, exempt bitset, budgeter jobs/caps) live
-// here and are resized at most O(log n) times per run.
+// All scratch buffers (exempt bitset, budgeter jobs/caps) live here and
+// are resized at most O(log n) times per run.
 type engine struct {
 	cfg       Config
 	types     map[string]workload.Type
@@ -41,11 +41,7 @@ type engine struct {
 	// need it.
 	nodeJob   []int32   // job-table slot per node; idleNode / downNode sentinels
 	nodeCoeff []float64 // per-node performance-variation coefficient (§6.4)
-	// nodeProgress is per-node fixed-point progress (engine_calendar.go),
-	// allocated only for the per-step oracle path; the calendar prices
-	// each job by one representative node instead.
-	nodeProgress []uint64
-	jobs         []runningJob
+	jobs      []runningJob
 	// freeSlots are job-table slots available for reuse.
 	freeSlots []int32
 	// order lists occupied job-table slots in ascending job-ID order.
@@ -60,8 +56,6 @@ type engine struct {
 	// empty when no ledger is attached.
 	ledH []ledger.Handle
 
-	// doneFlags[k] reports whether order[k]'s job finished this step.
-	doneFlags []bool
 	// exempt is a bitset over order positions, allocated lazily on the
 	// first step that runs with FeedbackQoSExempt set (§6.4) — runs
 	// without the mitigation never pay for it.
@@ -70,22 +64,9 @@ type engine struct {
 	bjobs []budget.Job
 	caps  []units.Power
 
-	// advanceFn is the per-step progress kernel bound once at
-	// construction; a function literal in the step path would allocate
-	// its closure every simulated second.
-	advanceFn func(lo, hi int)
-
 	// measuredBusy is the busy-node count folded out of the last
 	// measurement, recorded as telemetry alongside the power sum.
 	measuredBusy int
-
-	shards int
-	// pool is the persistent multi-core shard runtime for the per-step
-	// progress kernel (nil when serial or when the calendar prices
-	// progress): long-lived workers woken through a reusable barrier
-	// instead of a goroutine spawn per step. Run closes it via
-	// engine.close.
-	pool *shardPool
 
 	// Fault-layer state (engine_failures.go). nextFailure cursors the
 	// sorted cfg.Failures schedule; down counts nodes currently failed
@@ -94,12 +75,11 @@ type engine struct {
 	down        int
 	requeues    int
 
-	// Completion-calendar state (engine_calendar.go). calOn mirrors
-	// !cfg.DisableCalendar; cal holds per-slot closed-form progress
-	// state, calNext a lower bound on the earliest due step, calRescale
-	// the slots whose rate changed this step, and curStep the loop's
-	// current simulated second (set by Run before the engine phases).
-	calOn      bool
+	// Completion-calendar state (engine_calendar.go). cal holds per-slot
+	// closed-form progress state, calNext a lower bound on the earliest
+	// due step, calRescale the slots whose rate changed this step,
+	// calMaxStep the last step of the run, and curStep the loop's current
+	// simulated second (set by Run before the engine phases).
 	cal        []calJob
 	calNext    int64
 	calRescale []int32
@@ -123,35 +103,22 @@ type runningJob struct {
 
 func newEngine(cfg Config, types map[string]workload.Type, scheduler *sched.Scheduler, coeffs []float64) *engine {
 	e := &engine{
-		cfg:       cfg,
-		types:     types,
-		scheduler: scheduler,
-		nodeJob:   make([]int32, cfg.Nodes),
-		nodeCoeff: coeffs, // shared read-only (see variationCoeffs)
-		freeRing:  make([]int32, cfg.Nodes),
-		freeLen:   cfg.Nodes,
-		shards:    resolveShards(cfg.Shards, cfg.Nodes),
-		calOn:     !cfg.DisableCalendar,
-		calNext:   calNever,
+		cfg:        cfg,
+		types:      types,
+		scheduler:  scheduler,
+		nodeJob:    make([]int32, cfg.Nodes),
+		nodeCoeff:  coeffs, // shared read-only (see variationCoeffs)
+		freeRing:   make([]int32, cfg.Nodes),
+		freeLen:    cfg.Nodes,
+		calNext:    calNever,
+		calMaxStep: 4 * int64(cfg.Horizon/time.Second),
 	}
 	for i := range e.nodeJob {
 		e.nodeJob[i] = idleNode
 		e.freeRing[i] = int32(i)
 	}
-	if e.calOn {
-		horizonS := int64(cfg.Horizon / time.Second)
-		e.calMaxStep = 4 * horizonS
-	} else {
-		e.nodeProgress = make([]uint64, cfg.Nodes)
-		e.advanceFn = e.advanceRange
-		e.pool = newShardPool(e.shards)
-	}
 	return e
 }
-
-// close releases the shard pool's workers. The engine must not step
-// afterwards.
-func (e *engine) close() { e.pool.close() }
 
 func (e *engine) freePop() int32 {
 	ni := e.freeRing[e.freeHead]
@@ -179,70 +146,6 @@ func (e *engine) believedModel(claimed string) perfmodel.Model {
 	return e.cfg.DefaultModel
 }
 
-// advanceAndComplete advances every running node's progress one second
-// and completes jobs whose nodes all reached 100%, returning how many
-// completed. The advance is sharded across job-order chunks on the
-// persistent pool — every node belongs to at most one running job, so
-// shards touch disjoint node ranges, and each node's arithmetic is
-// independent, so the result is bit-identical to the serial loop.
-// Completion stays serial, in sorted ID order, so freed nodes return to
-// the free ring deterministically.
-func (e *engine) advanceAndComplete(now time.Time) (int, error) {
-	if cap(e.doneFlags) < len(e.order) {
-		e.doneFlags = make([]bool, len(e.order))
-	}
-	e.doneFlags = e.doneFlags[:len(e.order)]
-	e.pool.run(len(e.order), e.advanceFn)
-	w := 0
-	for k, slot := range e.order {
-		if !e.doneFlags[k] {
-			e.order[w] = slot
-			w++
-			continue
-		}
-		rj := &e.jobs[slot]
-		if err := e.scheduler.CompleteJob(rj.job, now); err != nil {
-			return 0, err
-		}
-		if e.cfg.Ledger != nil {
-			e.ledgerClose(slot, now, ledger.Completed)
-		}
-		for _, ni := range rj.nodes {
-			e.nodeJob[ni] = idleNode
-			e.freePush(ni)
-		}
-		rj.job = nil
-		rj.nodes = rj.nodes[:0]
-		e.freeSlots = append(e.freeSlots, slot)
-	}
-	completed := len(e.order) - w
-	e.order = e.order[:w]
-	return completed, nil
-}
-
-// advanceRange advances progress for the jobs at order positions
-// [lo, hi) and records their completion flags.
-func (e *engine) advanceRange(lo, hi int) {
-	for k := lo; k < hi; k++ {
-		rj := &e.jobs[e.order[k]]
-		// The progress rate depends only on the job's type and its
-		// (per-job) cap, so it is computed once per job per step
-		// instead of once per node.
-		rate := progressRate(&rj.typ, rj.cap)
-		done := true
-		for _, ni := range rj.nodes {
-			if p := e.nodeProgress[ni]; p < progressOne {
-				p += progressDelta(e.nodeCoeff[ni], rate)
-				e.nodeProgress[ni] = p
-				if p < progressOne {
-					done = false
-				}
-			}
-		}
-		e.doneFlags[k] = done
-	}
-}
-
 // startJobs asks the scheduler for every queued job that fits and binds
 // each to free nodes and a job-table slot, returning how many started.
 func (e *engine) startJobs(now time.Time) (int, error) {
@@ -264,14 +167,9 @@ func (e *engine) startJobs(now time.Time) (int, error) {
 			ni := e.freePop()
 			rj.nodes = append(rj.nodes, ni)
 			e.nodeJob[ni] = slot
-			if !e.calOn {
-				e.nodeProgress[ni] = 0
-			}
 		}
 		e.orderInsert(slot)
-		if e.calOn {
-			e.calStart(slot)
-		}
+		e.calStart(slot)
 		if e.cfg.Ledger != nil {
 			e.ledgerOpen(slot, now)
 		}
@@ -321,9 +219,9 @@ func (e *engine) exemptBit(k int) bool { return e.exempt[k/64]&(1<<(k%64)) != 0 
 // budgeter. Jobs are visited in sorted-ID order so every floating-point
 // reduction is deterministic (the original map-iteration engine left the
 // exemption subtraction and budgeter input order to map order). It
-// reports whether any job's cap actually moved, so the event-driven step
-// loop knows a re-measure is needed (an unchanged cap set implies an
-// unchanged power sum).
+// reports whether any job's cap actually moved, so the step loop knows a
+// re-measure is needed (an unchanged cap set implies an unchanged power
+// sum); every moved job is queued for a calendar rescale.
 func (e *engine) applyCaps(jobBudget units.Power, now time.Time) (changed bool) {
 	if len(e.order) == 0 {
 		return false
@@ -366,9 +264,7 @@ func (e *engine) applyCaps(jobBudget units.Power, now time.Time) (changed bool) 
 			if e.jobs[slot].cap != cap {
 				e.jobs[slot].cap = cap
 				changed = true
-				if e.calOn {
-					e.calRescale = append(e.calRescale, slot)
-				}
+				e.calRescale = append(e.calRescale, slot)
 			}
 		}
 		return changed
@@ -398,9 +294,7 @@ func (e *engine) applyCaps(jobBudget units.Power, now time.Time) (changed bool) 
 		if rj.cap != cap {
 			rj.cap = cap
 			changed = true
-			if e.calOn {
-				e.calRescale = append(e.calRescale, slot)
-			}
+			e.calRescale = append(e.calRescale, slot)
 		}
 	}
 	return changed
@@ -411,8 +305,8 @@ func (e *engine) applyCaps(jobBudget units.Power, now time.Time) (changed bool) 
 // running jobs of the integer milliwatt rate the ledger is given, plus
 // the idle nodes at the quantized idle power. Down nodes draw nothing.
 // Integer addition is exact and order-free, so the sum costs O(running
-// jobs), needs no per-node pass, and is the same at any shard count; the
-// busy-node count for telemetry falls out of the same loop.
+// jobs) and needs no per-node pass; the busy-node count for telemetry
+// falls out of the same loop.
 func (e *engine) measure() units.Power {
 	var mw int64
 	busy := 0

@@ -19,8 +19,8 @@ import (
 // the progress phase one comparison; at calNext the phase walks the
 // running jobs once, completing those due and recomputing the bound. That
 // walk is the same sorted-order compaction every completion pays anyway,
-// so no step's cost grows. The per-step path survives behind
-// Config.DisableCalendar as the oracle.
+// so no step's cost grows. The naive oracle in reference_test.go still
+// advances every node every second; the two must agree byte for byte.
 //
 // Fixed-point progress is the specification. A node's progress is a
 // uint64 count of 2⁻⁵² of a job (progressOne is the whole job), and every
@@ -42,11 +42,10 @@ import (
 // does, so the calendar tracks a single (progress, delta) pair per job,
 // materialized lazily at recaps.
 //
-// All calendar bookkeeping runs in the serial sections of the step loop,
-// so shard count and GOMAXPROCS cannot affect it, and completions are
-// applied by walking the sorted-order index exactly as the per-step
-// engine's compaction does — free-ring push order, ledger close order,
-// and every downstream value stay identical.
+// Completions are applied by walking the sorted-order index, so jobs due
+// on the same second complete in job-ID order — the order that fixes the
+// free-ring push order, the ledger close order, and every downstream
+// value.
 
 // progressOne is one whole job in fixed-point progress units (2⁵²).
 const progressOne = uint64(1) << 52
@@ -157,13 +156,12 @@ func (e *engine) calReschedule(slot int32, t int64) {
 	e.calNext = min(e.calNext, c.due)
 }
 
-// calendarAdvanceAndComplete is the calendar engine's progress phase.
-// Before calNext nothing can be due. At calNext it completes the jobs due
-// now by walking the sorted-order index — the same serial compaction walk
-// as the per-step engine, so completion order, free-ring order, and
-// ledger-close order are identical — and sets calNext to the earliest
-// remaining due step.
-func (e *engine) calendarAdvanceAndComplete(now time.Time) (int, error) {
+// completeDue is the engine's progress phase. Before calNext nothing can
+// be due. At calNext it completes the jobs due now by walking the
+// sorted-order index in place, returning their nodes to the free ring
+// and their slots to the job table, and sets calNext to the earliest
+// remaining due step. It returns how many jobs completed.
+func (e *engine) completeDue(now time.Time) (int, error) {
 	t := e.curStep
 	if e.calNext > t {
 		return 0, nil

@@ -9,11 +9,10 @@ import (
 	"repro/internal/ledger"
 )
 
-// Node fail-stop/recovery handling. Everything in this file runs serially
-// at the top of a step, before the sharded progress advance, so the shard
-// count can never influence which jobs die or in what order nodes return
-// to the free ring — the determinism guard in failures_test.go holds runs
-// at shard counts {1,3,8} bit-identical.
+// Node fail-stop/recovery handling. Everything in this file runs at the
+// top of a step, before the progress phase, applying events in schedule
+// order (time, then node index), so which jobs die and the order nodes
+// return to the free ring are fixed by the schedule alone.
 
 // nodeState.jobIdx sentinels: -1 is idle and schedulable, -2 is failed
 // out of the pool (drawing 0 W, invisible to the scheduler).

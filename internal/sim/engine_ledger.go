@@ -6,10 +6,9 @@ import (
 	"repro/internal/ledger"
 )
 
-// Energy-ledger hooks. Every call in this file runs in the serial
-// sections of the step loop (start/complete/failure handling and the
-// post-measure settle), visiting jobs in sorted-ID order, so ledger
-// output is bit-identical at any shard count and GOMAXPROCS. The hooks
+// Energy-ledger hooks. Every call in this file runs from the step loop's
+// start/complete/failure handling and the post-measure settle, visiting
+// jobs in sorted-ID order, so ledger output is deterministic. The hooks
 // read engine state but never write it, preserving the observational
 // contract: attaching a ledger changes no simulation result.
 

@@ -4,21 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/budget"
 	"repro/internal/dr"
-	"repro/internal/faults"
-	"repro/internal/perfmodel"
 	"repro/internal/schedule"
 	"repro/internal/workload"
 )
 
 // sparseConfig builds a schedule with long fully-idle gaps between a
-// handful of jobs — the workload shape where the event-driven stepper's
-// idle fast-forward actually engages. The horizon stretches well past the
+// handful of jobs — the workload shape where the idle fast-forward
+// actually engages. The horizon stretches well past the
 // last completion so the run also exercises the post-horizon drain.
 func sparseConfig(seed uint64) Config {
 	types := []workload.Type{
@@ -42,101 +38,6 @@ func sparseConfig(seed uint64) Config {
 		Horizon:      40 * time.Minute,
 		Seed:         seed,
 		VariationStd: 0.1,
-	}
-}
-
-// TestEventDrivenMatchesFullStepping is the golden guard for the
-// event-driven stepper: across workload shapes (idle-heavy, saturated,
-// failures mid-gap, budgeter, feedback exemption), signal kinds (stepped
-// random walk, fixed target, non-stepped sine), shard counts, and
-// GOMAXPROCS settings, skipping provably-no-op work and fast-forwarding
-// idle intervals must leave the full Result deeply equal and the TableLog
-// byte stream identical to recomputing everything every second.
-func TestEventDrivenMatchesFullStepping(t *testing.T) {
-	models := map[string]perfmodel.Model{}
-	for _, typ := range workload.LongRunning() {
-		models[typ.Name] = typ.RelativeModel()
-	}
-	scenarios := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"sparse-walk", func(c *Config) {}},
-		{"sparse-fixed-target", func(c *Config) {
-			c.Bid.Reserve = 0
-			c.Signal = dr.Constant(0.7) // irrelevant with zero reserve
-		}},
-		{"sparse-sine", func(c *Config) {
-			// Sine is not a Stepped signal: no fast-forward, but the
-			// dirty-tracking skips still apply and must stay exact.
-			c.Signal = dr.Sine{Period: 3 * time.Minute, Amplitude: 0.8}
-		}},
-		{"sparse-failures", func(c *Config) {
-			// A fail/recover pair inside the idle gap (the fast-forward
-			// must stop at each event) and one mid-job to force a requeue.
-			c.Failures = []faults.NodeEvent{
-				{At: 10 * time.Second, Node: 0, Kind: faults.KindFail},
-				{At: 8 * time.Minute, Node: 3, Kind: faults.KindFail},
-				{At: 10 * time.Minute, Node: 3, Kind: faults.KindRecover},
-				{At: 20 * time.Minute, Node: 0, Kind: faults.KindRecover},
-			}
-		}},
-		{"sparse-budgeter", func(c *Config) {
-			c.Budgeter = budget.EvenSlowdown{}
-			c.TypeModels = models
-			c.DefaultModel = workload.LeastSensitive().RelativeModel()
-		}},
-		{"sparse-feedback", func(c *Config) {
-			c.Budgeter = budget.EvenSlowdown{}
-			c.TypeModels = models
-			c.DefaultModel = workload.LeastSensitive().RelativeModel()
-			c.FeedbackQoSExempt = true
-			c.QoSLimit = 0.5
-			c.ExemptFraction = 0.5
-		}},
-	}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, sc := range scenarios {
-		sc := sc
-		base := sparseConfig(9)
-		sc.mutate(&base)
-
-		// Ground truth: full per-second stepping, serial, current GOMAXPROCS.
-		var wantLog bytes.Buffer
-		full := base
-		full.DisableEventDriven = true
-		full.Shards = 1
-		full.TableLog = &wantLog
-		want, err := Run(full)
-		if err != nil {
-			t.Fatalf("%s: full stepping: %v", sc.name, err)
-		}
-		if len(want.Jobs) == 0 {
-			t.Fatalf("%s: degenerate scenario, no jobs completed", sc.name)
-		}
-
-		for _, procs := range []int{1, 4} {
-			for _, shards := range []int{1, 3, 8} {
-				t.Run(fmt.Sprintf("%s/procs%d/shards%d", sc.name, procs, shards), func(t *testing.T) {
-					runtime.GOMAXPROCS(procs)
-					var gotLog bytes.Buffer
-					cfg := base
-					cfg.Shards = shards
-					cfg.TableLog = &gotLog
-					got, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Error("event-driven Result differs from full stepping")
-					}
-					if !bytes.Equal(gotLog.Bytes(), wantLog.Bytes()) {
-						t.Error("event-driven TableLog byte stream differs from full stepping")
-					}
-				})
-			}
-		}
 	}
 }
 
@@ -302,28 +203,19 @@ func TestSourceAndArrivalsMutuallyExclusive(t *testing.T) {
 	}
 }
 
-// BenchmarkSimIdleFastForward measures the event-driven win on an
-// idle-heavy hour: two brief jobs and ~3600 quiet seconds. Compare with
-// -tags or by flipping DisableEventDriven to see the O(cluster) → O(1)
-// difference on quiet seconds.
+// BenchmarkSimIdleFastForward measures the fast-forward on an idle-heavy
+// hour at 10000 nodes: two brief jobs and ~3600 quiet seconds, each of
+// which must cost O(1) rather than O(cluster).
 func BenchmarkSimIdleFastForward(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"event-driven", false}, {"full-stepping", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := sparseConfig(3)
-			cfg.Nodes = 10000
-			cfg.Bid = dr.Bid{AvgPower: 10000 * 180, Reserve: 0}
-			cfg.Signal = dr.Constant(0)
-			cfg.Horizon = time.Hour
-			cfg.DisableEventDriven = mode.disable
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg := sparseConfig(3)
+	cfg.Nodes = 10000
+	cfg.Bid = dr.Bid{AvgPower: 10000 * 180, Reserve: 0}
+	cfg.Signal = dr.Constant(0)
+	cfg.Horizon = time.Hour
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

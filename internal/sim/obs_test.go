@@ -14,53 +14,50 @@ import (
 )
 
 // TestObservabilityPreservesDeterminism is the determinism guard for
-// the observability layer: a simulation with metrics, tracing, and
-// progress counting enabled must produce bit-identical results to the
-// bare run, at every shard count. Observability reads simulation state;
-// it must never participate in it.
+// the observability layer: a simulation with metrics, tracing, progress
+// counting, and telemetry enabled must produce bit-identical results to
+// the bare run. Observability reads simulation state; it must never
+// participate in it.
 func TestObservabilityPreservesDeterminism(t *testing.T) {
 	base, err := Run(smallConfig(t, 7, 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 3, 8} {
-		cfg := smallConfig(t, 7, 0.1)
-		cfg.Shards = shards
-		cfg.Metrics = obs.NewRegistry()
-		cfg.Tracer = obs.NewRing(256, "guard")
-		cfg.TraceEvery = 1
-		cfg.Progress = obs.NewCounter()
-		cfg.RunID = "guard"
-		cfg.Telemetry = telemetry.NewStore()
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+	cfg := smallConfig(t, 7, 0.1)
+	cfg.Metrics = obs.NewRegistry()
+	cfg.Tracer = obs.NewRing(256, "guard")
+	cfg.TraceEvery = 1
+	cfg.Progress = obs.NewCounter()
+	cfg.RunID = "guard"
+	cfg.Telemetry = telemetry.NewStore()
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base, got) {
+		t.Error("observability changed the simulation result")
+	}
+	if pts := cfg.Telemetry.Series("sim_power_measured_watts").Snapshot(0, 0); len(pts) == 0 {
+		t.Error("telemetry store retained no power series")
+	}
+	if cfg.Progress.Value() == 0 {
+		t.Error("progress counter never advanced")
+	}
+	if cfg.Metrics.Counter("sim_steps_total", "").Value() != cfg.Progress.Value() {
+		t.Errorf("steps metric %d != progress %d",
+			cfg.Metrics.Counter("sim_steps_total", "").Value(), cfg.Progress.Value())
+	}
+	if cfg.Tracer.Count() == 0 {
+		t.Error("tracer saw no sim_step events")
+	}
+	spans := 0
+	for _, e := range cfg.Tracer.Events() {
+		if e.Type == obs.EvSpan {
+			spans++
 		}
-		if !reflect.DeepEqual(base, got) {
-			t.Errorf("shards=%d: observability changed the simulation result", shards)
-		}
-		if pts := cfg.Telemetry.Series("sim_power_measured_watts").Snapshot(0, 0); len(pts) == 0 {
-			t.Errorf("shards=%d: telemetry store retained no power series", shards)
-		}
-		if cfg.Progress.Value() == 0 {
-			t.Errorf("shards=%d: progress counter never advanced", shards)
-		}
-		if cfg.Metrics.Counter("sim_steps_total", "").Value() != cfg.Progress.Value() {
-			t.Errorf("shards=%d: steps metric %d != progress %d", shards,
-				cfg.Metrics.Counter("sim_steps_total", "").Value(), cfg.Progress.Value())
-		}
-		if cfg.Tracer.Count() == 0 {
-			t.Errorf("shards=%d: tracer saw no sim_step events", shards)
-		}
-		spans := 0
-		for _, e := range cfg.Tracer.Events() {
-			if e.Type == obs.EvSpan {
-				spans++
-			}
-		}
-		if spans == 0 {
-			t.Errorf("shards=%d: tracer saw no span events", shards)
-		}
+	}
+	if spans == 0 {
+		t.Error("tracer saw no span events")
 	}
 }
 

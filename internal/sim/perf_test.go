@@ -37,7 +37,6 @@ func steadyConfig(horizon time.Duration, budgeter bool) Config {
 	nodes := jobCount * typ.Nodes
 	cfg := Config{
 		Nodes:        nodes,
-		Shards:       1,
 		Types:        []workload.Type{typ},
 		Arrivals:     arrivals,
 		Bid:          dr.Bid{AvgPower: units.Power(nodes) * 190, Reserve: 1},

@@ -1,22 +1,23 @@
 package sim
 
-// This file retains the original map-keyed simulator engine, verbatim
-// except for renames, for pinning every loop whose iteration order Go
-// map semantics left unspecified to sorted job-ID order (the order the
-// original engine already used wherever order was observable — job
-// completion — and the order the dense-index engine uses everywhere),
-// and for the engine's arithmetic: per-node fixed-point progress
-// (progressDelta) and cluster power as integer milliwatts per job. The
-// golden test in equiv_test.go runs it side by side with the production
-// engine and requires byte-identical results.
+// This file holds the simulator's oracle: a deliberately naive engine
+// that shares the production engine's specification — job-ID order
+// wherever order is observable, per-node fixed-point progress
+// (progressDelta), cluster power as integer milliwatts per job, the FIFO
+// free list, and the fail-stop requeue rule — but none of its machinery.
+// It keys running jobs by ID in a map re-sorted every second, steps
+// every second with no fast-forward, advances every busy node's progress
+// every second, re-runs scheduling and capping every second, and settles
+// the energy ledger every second. The golden test in equiv_test.go runs
+// it side by side with Run and requires byte-identical results.
 
 import (
 	"encoding/csv"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/faults"
 	"repro/internal/ledger"
 	"repro/internal/perfmodel"
 	"repro/internal/sched"
@@ -28,6 +29,7 @@ import (
 
 type refNodeState struct {
 	jobID    string
+	down     bool
 	cap      units.Power
 	power    units.Power
 	coeff    float64
@@ -39,11 +41,11 @@ type refRunningJob struct {
 	typ      workload.Type
 	nodes    []int
 	believed perfmodel.Model
+	handle   ledger.Handle
 }
 
-// runReference executes the simulation with the pre-dense-index engine:
-// a string-keyed running map re-sorted every second, per-node cap and
-// power fields, and fresh map/slice allocations in every capping pass.
+// runReference executes cfg (Arrivals, not Source) with the naive
+// engine.
 func runReference(cfg Config) (Result, error) {
 	if cfg.IdlePower == 0 {
 		cfg.IdlePower = workload.NodeIdlePower
@@ -61,7 +63,7 @@ func runReference(cfg Config) (Result, error) {
 
 	rng := stats.NewRNG(cfg.Seed)
 	nodes := make([]refNodeState, cfg.Nodes)
-	free := make([]int, 0, cfg.Nodes)
+	free := make([]int, 0, cfg.Nodes) // FIFO: pop the front, push the back
 	for i := range nodes {
 		nodes[i].coeff = 1
 		if cfg.VariationStd > 0 {
@@ -91,7 +93,7 @@ func runReference(cfg Config) (Result, error) {
 
 	horizonS := int(cfg.Horizon / time.Second)
 	maxS := 4 * horizonS
-	nextArrival := 0
+	nextArrival, nextFailure, down := 0, 0, 0
 	var busyNodeSeconds float64
 	var powerIntegral float64
 	steps := 0
@@ -102,49 +104,81 @@ func runReference(cfg Config) (Result, error) {
 		}
 		return cfg.DefaultModel
 	}
-
-	shards := resolveShards(cfg.Shards, cfg.Nodes)
-	var doneFlags []bool
+	// release returns a job's nodes to the free list in the order it took
+	// them, except lost, which fails out of the pool.
+	release := func(rj *refRunningJob, lost int) {
+		for _, ni := range rj.nodes {
+			nodes[ni] = refNodeState{coeff: nodes[ni].coeff, down: ni == lost}
+			if ni != lost {
+				free = append(free, ni)
+			}
+		}
+		delete(running, rj.job.ID)
+	}
 
 	for t := 0; t <= maxS; t++ {
 		now := simEpoch.Add(time.Duration(t) * time.Second)
 
-		// 1. Node update: advance progress at each node's current cap,
-		// then complete in sorted ID order.
-		ids := budget.SortedIDs(running)
-		if cap(doneFlags) < len(ids) {
-			doneFlags = make([]bool, len(ids))
-		}
-		doneFlags = doneFlags[:len(ids)]
-		forShards(shards, len(ids), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				rj := running[ids[k]]
-				done := true
-				for _, ni := range rj.nodes {
-					n := &nodes[ni]
-					if n.progress < progressOne {
-						n.progress += progressDelta(n.coeff, progressRate(&rj.typ, n.cap))
-					}
-					if n.progress < progressOne {
-						done = false
+		// 0. Fail-stop and recovery events due by this second, in
+		// schedule order.
+		for nextFailure < len(cfg.Failures) && cfg.Failures[nextFailure].At <= time.Duration(t)*time.Second {
+			ev := cfg.Failures[nextFailure]
+			nextFailure++
+			n := &nodes[ev.Node]
+			switch {
+			case ev.Kind == faults.KindRecover:
+				n.down = false
+				free = append(free, ev.Node)
+				down--
+				if err := scheduler.AdjustCapacity(+1); err != nil {
+					return Result{}, err
+				}
+				continue
+			case n.jobID != "":
+				rj := running[n.jobID]
+				if err := scheduler.Requeue(rj.job, now); err != nil {
+					return Result{}, err
+				}
+				res.Requeues++
+				cfg.Ledger.Close(rj.handle, now.UnixMilli(), ledger.Requeued)
+				release(rj, ev.Node)
+			default:
+				for k, ni := range free {
+					if ni == ev.Node {
+						free = append(free[:k:k], free[k+1:]...)
+						break
 					}
 				}
-				doneFlags[k] = done
+				n.down = true
 			}
-		})
-		for k, id := range ids {
-			if !doneFlags[k] {
+			down++
+			if err := scheduler.AdjustCapacity(-1); err != nil {
+				return Result{}, err
+			}
+		}
+
+		// 1. Node update: advance every busy node's progress at its cap,
+		// then complete in sorted ID order.
+		for _, id := range budget.SortedIDs(running) {
+			rj := running[id]
+			done := true
+			for _, ni := range rj.nodes {
+				n := &nodes[ni]
+				if n.progress < progressOne {
+					n.progress += progressDelta(n.coeff, progressRate(&rj.typ, n.cap))
+				}
+				if n.progress < progressOne {
+					done = false
+				}
+			}
+			if !done {
 				continue
 			}
-			rj := running[id]
 			if _, err := scheduler.Complete(id, now); err != nil {
 				return Result{}, err
 			}
-			for _, ni := range rj.nodes {
-				nodes[ni] = refNodeState{coeff: nodes[ni].coeff}
-				free = append(free, ni)
-			}
-			delete(running, id)
+			cfg.Ledger.Close(rj.handle, now.UnixMilli(), ledger.Completed)
+			release(rj, -1)
 		}
 
 		// 2. Admit arrivals (only within the horizon).
@@ -170,33 +204,46 @@ func runReference(cfg Config) (Result, error) {
 				nodes[ni].progress = 0
 				nodes[ni].cap = workload.NodeTDP
 			}
+			rj.handle = cfg.Ledger.Open(ledger.JobMeta{
+				ID: j.ID, Type: j.TypeName, Nodes: j.Nodes,
+				SubmitMs: j.Submit.UnixMilli(), MinTimeS: j.MinTime,
+			}, now.UnixMilli())
 			running[j.ID] = rj
 		}
 
-		// 4. Power manager: pick caps against the current target.
+		// 4. Power manager: pick caps against the current target. Down
+		// nodes get no idle-power allowance.
 		target := cfg.Bid.Target(cfg.Signal.At(time.Duration(t) * time.Second))
 		busy := scheduler.BusyNodes()
-		idle := cfg.Nodes - busy
+		idle := cfg.Nodes - busy - down
 		jobBudget := target - cfg.IdlePower*units.Power(idle)
 		referenceApplyCaps(cfg, running, nodes, jobBudget, now)
 
 		// 5. Measure and record: settle each node's achieved power, then
 		// quantize each job's draw (per-node power × the nodes it holds in
-		// the node table) and the idle nodes' draw to milliwatts.
-		forShards(shards, len(nodes), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if nodes[i].jobID == "" {
-					nodes[i].power = cfg.IdlePower
-				} else {
-					rj := running[nodes[i].jobID]
-					nodes[i].power = nodes[i].cap
-					if rj != nil && rj.typ.PMax < nodes[i].power {
-						nodes[i].power = rj.typ.PMax
-					}
-				}
+		// the node table) and the idle nodes' draw to milliwatts. The
+		// ledger is handed the same rates every second.
+		for i := range nodes {
+			n := &nodes[i]
+			switch {
+			case n.down:
+				n.power = 0
+			case n.jobID == "":
+				n.power = cfg.IdlePower
+			default:
+				n.power = min(n.cap, running[n.jobID].typ.PMax)
 			}
-		})
-		measured := referenceMeasure(nodes, cfg.IdlePower)
+		}
+		measured, idleNodes := referenceMeasure(nodes, cfg.IdlePower)
+		if cfg.Ledger != nil {
+			ms := now.UnixMilli()
+			for _, id := range budget.SortedIDs(running) {
+				rj := running[id]
+				p := nodes[rj.nodes[0]].power
+				cfg.Ledger.SetPower(rj.handle, ms, p.Watts()*float64(len(rj.nodes)), p < rj.typ.PMax)
+			}
+			cfg.Ledger.SetIdle(ms, idleNodes, cfg.IdlePower.Watts())
+		}
 		res.Tracking = append(res.Tracking, trace.Point{Time: now, Target: target, Measured: measured})
 		powerIntegral += measured.Watts()
 		steps++
@@ -224,6 +271,9 @@ func runReference(cfg Config) (Result, error) {
 		if err := logger.Error(); err != nil {
 			return Result{}, err
 		}
+	}
+	if cfg.Ledger != nil && len(res.Tracking) > 0 {
+		cfg.Ledger.FinishAt(res.Tracking[len(res.Tracking)-1].Time.Add(time.Second).UnixMilli())
 	}
 
 	res.Unfinished = len(running) + scheduler.QueuedCount()
@@ -254,25 +304,28 @@ func runReference(cfg Config) (Result, error) {
 }
 
 // referenceMeasure is the naive per-node power sum: it walks the node
-// table, counts each job's nodes and the idle ones, and sums the same
-// per-job and idle milliwatt rates the energy ledger is given.
-func referenceMeasure(nodes []refNodeState, idlePower units.Power) units.Power {
+// table, counts each job's nodes and the idle ones (down nodes draw
+// nothing), and sums the same per-job and idle milliwatt rates the
+// energy ledger is given. It also returns the idle-node count.
+func referenceMeasure(nodes []refNodeState, idlePower units.Power) (units.Power, int) {
 	perJob := map[string]int{}
 	power := map[string]units.Power{}
 	idle := 0
 	for i := range nodes {
-		if nodes[i].jobID == "" {
+		switch {
+		case nodes[i].down:
+		case nodes[i].jobID == "":
 			idle++
-			continue
+		default:
+			perJob[nodes[i].jobID]++
+			power[nodes[i].jobID] = nodes[i].power
 		}
-		perJob[nodes[i].jobID]++
-		power[nodes[i].jobID] = nodes[i].power
 	}
 	mw := int64(idle) * ledger.MilliWatts(idlePower.Watts())
 	for id, n := range perJob {
 		mw += ledger.MilliWatts(power[id].Watts() * float64(n))
 	}
-	return units.Power(float64(mw) / 1e3)
+	return units.Power(float64(mw) / 1e3), idle
 }
 
 // referenceApplyCaps is the original per-step capping pass: a fresh
@@ -343,35 +396,4 @@ func referenceApplyCaps(cfg Config, running map[string]*refRunningJob, nodes []r
 			nodes[ni].cap = cap
 		}
 	}
-}
-
-// forShards is the reference engine's original per-step sharding: it
-// invokes fn over near-equal subranges of [0, n), concurrently
-// when shards > 1 and serially otherwise, returning only after every
-// shard completes (the per-phase barrier). fn must confine its writes to
-// state owned by indices in [lo, hi); any state it reads outside that
-// range must not be written by other shards during the call. Each index
-// is visited by exactly one shard with identical arithmetic regardless of
-// shard count, so results are bit-identical to the serial loop.
-func forShards(shards, n int, fn func(lo, hi int)) {
-	if shards <= 1 || n <= 1 {
-		fn(0, n)
-		return
-	}
-	if shards > n {
-		shards = n
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		lo, hi := s*n/shards, (s+1)*n/shards
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

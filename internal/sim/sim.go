@@ -1,9 +1,9 @@
 // Package sim implements the tabular cluster simulator of §5.6: a
 // table-driven model of a large cluster (the paper simulates 1000 nodes)
 // advanced one second at a time. A node table tracks which job each node
-// runs, its power cap, and its achieved power; a job table tracks queue
-// entry, start, end, and per-node progress. Each simulated second the
-// simulator updates node progress, completes jobs whose nodes all reached
+// runs and a job table each running job's cap and achieved power; the
+// scheduler tracks queue entry, start, and end. Each simulated second the
+// simulator applies node failures, completes jobs whose nodes all reached
 // 100%, admits arrivals, schedules queued jobs, and re-caps power against
 // the demand-response target P̄ + R·y(t).
 //
@@ -15,12 +15,16 @@
 // milliwatts (engine_calendar.go, engine.measure), so every closed form
 // the engine uses is exact.
 //
-// The core is allocation-free at steady state: jobs and nodes reference
-// each other through dense integer indices into reusable tables (see
-// engine.go), so a step costs a handful of slice traversals regardless of
-// how many seconds the run spans. Results are bit-identical to the
-// original map-keyed engine (the golden test in equiv_test.go holds the
-// two side by side) and to the serial loop at every shard count.
+// There is one engine. A completion calendar prices each job's finishing
+// second in closed form whenever its cap is set, and the step loop is
+// event-driven: a second on which nothing can change reuses the previous
+// caps and measurement, and runs of such seconds fast-forward to the next
+// event while still emitting one row per second. The core is
+// allocation-free at steady state: jobs and nodes reference each other
+// through dense integer indices into reusable tables (see engine.go).
+// Results are bit-identical to the naive map-keyed, per-second,
+// per-node oracle in reference_test.go (the golden test in equiv_test.go
+// holds the two side by side).
 package sim
 
 import (
@@ -58,12 +62,6 @@ import (
 type Config struct {
 	// Nodes is the cluster size. Required positive.
 	Nodes int
-	// Shards bounds the worker count for the per-step progress loop of
-	// the DisableCalendar oracle (the calendar has no per-node loop to
-	// shard). Zero selects automatically: GOMAXPROCS for large clusters,
-	// serial for small ones where the fan-out costs more than it buys.
-	// One forces serial. Results are bit-identical for every setting.
-	Shards int
 	// IdlePower is the draw of an idle node (default 70 W).
 	IdlePower units.Power
 	// Types is the job mix; every arrival's true type must be present.
@@ -110,35 +108,12 @@ type Config struct {
 	// malformed entries (unsortable times, jobs wider than the cluster)
 	// abort the run with a descriptive error.
 	Source ArrivalSource
-	// DisableEventDriven forces the engine to re-run scheduling, capping,
-	// and the cluster power measurement every simulated second, the
-	// pre-event-driven behaviour. By default the engine skips work it can
-	// prove is a no-op — steps with no arrivals, completions, failures,
-	// or target changes cost O(active nodes) instead of O(cluster), and
-	// fully idle intervals fast-forward to the next event horizon.
-	// Results are bit-identical either way (eventdriven_test.go holds
-	// both against each other and the reference engine).
-	DisableEventDriven bool
-	// DisableCalendar forces per-step progress advancement: every busy
-	// node's fixed-point progress is incremented every simulated second,
-	// the pre-calendar behaviour, retained as the oracle the calendar is
-	// tested against. By default the engine computes each job's
-	// completion second in closed form whenever its cap is set (start
-	// and every recap), so the progress phase costs O(1) on seconds with
-	// nothing due and one walk of the running jobs on seconds with a
-	// completion, instead of O(busy nodes) every second, and
-	// busy-but-quiet intervals fast-forward like idle ones. Results are bit-identical either way (calendar_test.go holds
-	// both paths against each other across scenarios, failure schedules,
-	// shard counts, and GOMAXPROCS).
-	DisableCalendar bool
 	// Failures is the node fail-stop/recovery schedule, sorted by time
 	// (ties by node index). A failing node kills whatever job it runs —
 	// the job is requeued from scratch, its other nodes freed — and
 	// leaves the schedulable pool (drawing 0 W) until a recovery event
-	// returns it, rebooted, to the free list. Failure handling is serial
-	// and results stay bit-identical across shard counts; an empty
-	// schedule leaves the simulation byte-identical to a build without
-	// this field.
+	// returns it, rebooted, to the free list. An empty schedule leaves
+	// the simulation byte-identical to a build without this field.
 	Failures []faults.NodeEvent
 	// TableLog, when set, receives one CSV row of cluster state per
 	// simulated second (§5.6 appends table state to a file).
@@ -176,14 +151,13 @@ type Config struct {
 	// Ledger, when non-nil, receives per-job energy attribution: jobs
 	// open when they bind nodes, close on completion (or requeue after a
 	// fail-stop), and carry their measured per-step power; idle nodes
-	// accrue to the ledger's idle pool. All ledger calls happen in the
-	// serial sections of the step loop in deterministic (job-ID) order,
-	// so ledger output is bit-identical at any Shards × GOMAXPROCS and
-	// attaching one changes no simulation result (ledger_test.go holds
-	// both invariants). Settlement is lazy — clean steps and fast-forward
-	// windows cost the ledger nothing — keeping attribution ~0 allocs per
-	// step. When Telemetry is also set, a cumulative
-	// sim_energy_total_joules series is recorded each simulated second.
+	// accrue to the ledger's idle pool. Ledger calls visit jobs in
+	// deterministic (job-ID) order, and attaching a ledger changes no
+	// simulation result (ledger_test.go holds this). Settlement is lazy —
+	// clean steps and fast-forward windows cost the ledger nothing —
+	// keeping attribution ~0 allocs per step. When Telemetry is also set,
+	// a cumulative sim_energy_total_joules series is recorded each
+	// simulated second.
 	Ledger *ledger.Ledger
 	// RunID labels emitted events when one simulation is part of a
 	// multi-run sweep.
@@ -319,26 +293,16 @@ func Run(cfg Config) (Result, error) {
 	for _, t := range cfg.Types {
 		types[t.Name] = t
 	}
+	var prev schedule.Arrival
 	for i, a := range cfg.Arrivals {
 		typ, ok := types[a.TypeName]
 		if !ok {
 			return Result{}, fmt.Errorf("sim: arrival %s has unknown type %s", a.JobID, a.TypeName)
 		}
-		// A job wider than the cluster would sit at its queue head
-		// forever (and, were the scheduler ever to start it, overrun the
-		// free list), so reject the schedule up front with a usable
-		// message instead.
-		if typ.Nodes < 1 || typ.Nodes > cfg.Nodes {
-			return Result{}, fmt.Errorf("sim: arrival %s (type %s) needs %d nodes but the cluster has %d — it can never start",
-				a.JobID, a.TypeName, typ.Nodes, cfg.Nodes)
+		if err := validateArrival(a, typ, cfg.Nodes, prev, i > 0); err != nil {
+			return Result{}, err
 		}
-		// The admission loop walks arrivals front to back, so an
-		// out-of-order schedule would silently never admit the
-		// early-timestamped stragglers.
-		if i > 0 && a.At < cfg.Arrivals[i-1].At {
-			return Result{}, fmt.Errorf("sim: arrivals not sorted by At: %s at %v (index %d) precedes %s at %v",
-				a.JobID, a.At, i, cfg.Arrivals[i-1].JobID, cfg.Arrivals[i-1].At)
-		}
+		prev = a
 	}
 	if cfg.Budgeter != nil && cfg.DefaultModel.Validate() != nil {
 		return Result{}, errors.New("sim: budgeter mode requires a valid default model")
@@ -356,7 +320,6 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	e := newEngine(cfg, types, scheduler, coeffs)
-	defer e.close()
 
 	// Arrival stream: the slice path wraps cfg.Arrivals (validated above);
 	// a streaming Source is validated arrival by arrival as it is pulled.
@@ -389,10 +352,6 @@ func Run(cfg Config) (Result, error) {
 				if typ.Name != a.TypeName {
 					return fmt.Errorf("sim: arrival %s claims type %s but the stream supplied type %s",
 						a.JobID, a.TypeName, typ.Name)
-				}
-				if typ.BaseSeconds <= 0 {
-					return fmt.Errorf("sim: arrival %s (type %s) has no positive base execution time",
-						a.JobID, a.TypeName)
 				}
 				types[typ.Name] = typ
 			}
@@ -440,20 +399,72 @@ func Run(cfg Config) (Result, error) {
 	// clean steps skip the scheduler call, skip re-capping unless the
 	// power budget moved, and reuse the previous measurement — each of
 	// those skips is a provable no-op, so results are bit-identical to
-	// recomputing everything (the full-stepping equivalence test holds
-	// both modes against each other).
-	eventDriven := !cfg.DisableEventDriven
+	// recomputing everything (the reference oracle does).
 	stepped, _ := cfg.Signal.(dr.Stepped)
 	targetFixed := cfg.Bid.Reserve == 0 // target is P̄ for any signal value
 	var lastJobBudget units.Power
-	var measured units.Power
+	// The row state: what every emitted second reports.
+	var target, measured units.Power
+	var busy int
 	haveBudget, haveMeasured := false, false
-	// Bind the progress phase once: the completion calendar completes
-	// the jobs scheduled for this second; the per-step oracle touches
-	// every busy node.
-	advance := e.advanceAndComplete
-	if e.calOn {
-		advance = e.calendarAdvanceAndComplete
+
+	// emitRow records second s: its tracking point, TableLog row,
+	// progress and step counters, retained series, and trace events.
+	// Stepped seconds and fast-forwarded ones share it, so a skipped
+	// second is indistinguishable from a computed one. Bound once here,
+	// outside the loop, so the per-second path does not allocate.
+	emitRow := func(s int) error {
+		rowNow := simEpoch.Add(time.Duration(s) * time.Second)
+		running, queued := len(e.order), scheduler.QueuedCount()
+		res.Tracking = append(res.Tracking, trace.Point{Time: rowNow, Target: target, Measured: measured})
+		powerIntegral += measured.Watts()
+		steps++
+		if s <= horizonS {
+			busyNodeSeconds += float64(busy)
+		}
+		if logger != nil {
+			logRec[0] = strconv.Itoa(s)
+			logRec[1] = strconv.Itoa(running)
+			logRec[2] = strconv.Itoa(queued)
+			logRec[3] = strconv.Itoa(busy)
+			logRec[4] = strconv.FormatFloat(target.Watts(), 'f', 0, 64)
+			logRec[5] = strconv.FormatFloat(measured.Watts(), 'f', 0, 64)
+			if err := logger.Write(logRec[:]); err != nil {
+				return err
+			}
+		}
+
+		// Observation only: nothing below feeds back into the simulation.
+		cfg.Progress.Inc()
+		met.steps.Inc()
+		met.measuredDist.Observe(measured.Watts())
+		if cfg.Telemetry != nil {
+			tel.target.Record(rowNow, target.Watts())
+			tel.measured.Record(rowNow, measured.Watts())
+			tel.busy.Record(rowNow, float64(busy))
+			tel.running.Record(rowNow, float64(running))
+			tel.queued.Record(rowNow, float64(queued))
+			if tel.energy != nil {
+				// Cumulative energy through this second: an O(1) read of the
+				// settled total plus one pending rate × elapsed product.
+				tel.energy.Record(rowNow, cfg.Ledger.TotalJoulesAt(rowNow.UnixMilli()+1000))
+			}
+		}
+		if cfg.Tracer.Enabled() && s%traceEvery == 0 {
+			cfg.Tracer.Emit(obs.Event{Type: obs.EvSimStep, TimeUnixNano: rowNow.UnixNano(), Run: cfg.RunID, Fields: obs.F{
+				"t_s": s, "running": running, "queued": queued,
+				"busy_nodes": busy, "target_w": target.Watts(), "measured_w": measured.Watts(),
+			}})
+			// A root span per traced step, stamped in virtual time, mirrors
+			// the daemon tiers' rebudget spans so anor-trace consumes sim
+			// and live-session event files uniformly. Span IDs come from the
+			// process RNG and never feed back into simulation state.
+			sp := cfg.Tracer.StartSpanAt("sim_recap", obs.TraceContext{}, rowNow)
+			sp.Set("t_s", s).Set("jobs", running).
+				Set("target_w", target.Watts()).Set("measured_w", measured.Watts())
+			sp.EndAt(rowNow.Add(time.Second))
+		}
+		return nil
 	}
 
 	for t := 0; t <= maxS; t++ {
@@ -463,11 +474,10 @@ func Run(cfg Config) (Result, error) {
 		if met.stepDur != nil {
 			stepStart = time.Now()
 		}
-		dirty := !eventDriven || t == 0
+		dirty := t == 0
 
 		// 0. Fault layer: apply fail-stop/recovery events due this second.
-		// Serial by construction, so shard count cannot affect results;
-		// the no-failure path skips it entirely.
+		// The no-failure path skips it entirely.
 		if len(cfg.Failures) > 0 {
 			failed, recovered, err := e.applyFailures(time.Duration(t)*time.Second, now)
 			if err != nil {
@@ -484,9 +494,8 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 
-		// 1. Node update: advance progress at each node's current cap and
-		// complete jobs whose nodes all finished.
-		completed, err := advance(now)
+		// 1. Node update: complete the jobs the calendar has due now.
+		completed, err := e.completeDue(now)
 		if err != nil {
 			return Result{}, err
 		}
@@ -523,11 +532,11 @@ func Run(cfg Config) (Result, error) {
 		// clean step with an unchanged budget the previous caps stand
 		// (re-capping is a pure function of membership and budget); the
 		// §6.4 feedback exemption depends on wall-clock QoS, so feedback
-		// runs re-cap every second exactly as before.
-		target := cfg.Bid.Target(cfg.Signal.At(time.Duration(t) * time.Second))
-		busy := scheduler.BusyNodes()
+		// runs re-cap every second.
+		target = cfg.Bid.Target(cfg.Signal.At(time.Duration(t) * time.Second))
+		busy = scheduler.BusyNodes()
 		// Down nodes draw nothing and get no idle-power allowance; with no
-		// failure schedule e.down is always 0 and this line is unchanged.
+		// failure schedule e.down is always 0.
 		idle := cfg.Nodes - busy - e.down
 		jobBudget := target - cfg.IdlePower*units.Power(idle)
 		capsChanged := false
@@ -538,14 +547,11 @@ func Run(cfg Config) (Result, error) {
 		// Re-bucket every job whose rate changed this step — new starts
 		// and recapped jobs — now that the capping phase has settled their
 		// final caps for the second.
-		if e.calOn {
-			e.calFlushRescale()
-		}
+		e.calFlushRescale()
 
 		// 5. Measure and record. The cluster power sum is a pure function
 		// of node→job assignments and per-job caps, so a clean step with
-		// unchanged caps reuses the previous value — this is what turns a
-		// quiet simulated second from O(cluster) into O(active).
+		// unchanged caps reuses the previous value.
 		if dirty || capsChanged || !haveMeasured {
 			measured = e.measure()
 			haveMeasured = true
@@ -556,40 +562,12 @@ func Run(cfg Config) (Result, error) {
 				e.ledgerSettle(now)
 			}
 		}
-		res.Tracking = append(res.Tracking, trace.Point{Time: now, Target: target, Measured: measured})
-		powerIntegral += measured.Watts()
-		steps++
-		if t <= horizonS {
-			busyNodeSeconds += float64(busy)
+		if err := emitRow(t); err != nil {
+			return Result{}, err
 		}
-		if logger != nil {
-			logRec[0] = strconv.Itoa(t)
-			logRec[1] = strconv.Itoa(len(e.order))
-			logRec[2] = strconv.Itoa(scheduler.QueuedCount())
-			logRec[3] = strconv.Itoa(busy)
-			logRec[4] = strconv.FormatFloat(target.Watts(), 'f', 0, 64)
-			logRec[5] = strconv.FormatFloat(measured.Watts(), 'f', 0, 64)
-			if err := logger.Write(logRec[:]); err != nil {
-				return Result{}, err
-			}
-		}
-
-		// Observation only: nothing below feeds back into the simulation.
-		cfg.Progress.Inc()
-		met.steps.Inc()
-		met.measuredDist.Observe(measured.Watts())
-		if cfg.Telemetry != nil {
-			tel.target.Record(now, target.Watts())
-			tel.measured.Record(now, measured.Watts())
-			tel.busy.Record(now, float64(busy))
-			tel.running.Record(now, float64(len(e.order)))
-			tel.queued.Record(now, float64(scheduler.QueuedCount()))
-			if tel.energy != nil {
-				// Cumulative energy through this second: an O(1) read of the
-				// settled total plus one pending rate × elapsed product.
-				tel.energy.Record(now, cfg.Ledger.TotalJoulesAt(now.UnixMilli()+1000))
-			}
-		}
+		// Gauges and the step timer follow computed steps only: a
+		// fast-forwarded second would set each gauge to the value it
+		// already holds, and costs no step time worth timing.
 		if cfg.Metrics != nil {
 			met.running.Set(float64(len(e.order)))
 			met.queued.Set(float64(scheduler.QueuedCount()))
@@ -603,20 +581,6 @@ func Run(cfg Config) (Result, error) {
 		if met.stepDur != nil {
 			met.stepDur.Observe(time.Since(stepStart).Seconds())
 		}
-		if cfg.Tracer.Enabled() && t%traceEvery == 0 {
-			cfg.Tracer.Emit(obs.Event{Type: obs.EvSimStep, TimeUnixNano: now.UnixNano(), Run: cfg.RunID, Fields: obs.F{
-				"t_s": t, "running": len(e.order), "queued": scheduler.QueuedCount(),
-				"busy_nodes": busy, "target_w": target.Watts(), "measured_w": measured.Watts(),
-			}})
-			// A root span per traced step, stamped in virtual time, mirrors
-			// the daemon tiers' rebudget spans so anor-trace consumes sim
-			// and live-session event files uniformly. Span IDs come from the
-			// process RNG and never feed back into simulation state.
-			sp := cfg.Tracer.StartSpanAt("sim_recap", obs.TraceContext{}, now)
-			sp.Set("t_s", t).Set("jobs", len(e.order)).
-				Set("target_w", target.Watts()).Set("measured_w", measured.Watts())
-			sp.EndAt(now.Add(time.Second))
-		}
 
 		// Stop once drained after the horizon.
 		if t >= horizonS && len(e.order) == 0 && scheduler.QueuedCount() == 0 &&
@@ -625,24 +589,18 @@ func Run(cfg Config) (Result, error) {
 		}
 
 		// 6. Event horizon: jump simulated time across seconds where the
-		// cluster state provably cannot change. With nothing running and
-		// nothing queued (the original idle fast-forward), nothing happens
-		// before the next arrival, failure, target change (known exactly
-		// for Stepped signals or a zero-reserve bid), or the horizon
-		// boundary, where the drain-stop check must run. With the
-		// completion calendar on, the same holds while jobs run: the
-		// calendar's earliest due step bounds the window, clean steps
-		// start nothing (startJobs needs a dirty step), and a constant
-		// busy/down split holds the job budget — and therefore every cap —
-		// fixed, so each intervening second would record the same row.
-		// Feedback runs re-cap against wall-clock QoS every second and
-		// never take the busy window. Every skipped second still emits its
-		// row, counters, and retained series, so output stays
-		// byte-identical to full stepping.
-		if eventDriven && (targetFixed || stepped != nil) {
+		// cluster state provably cannot change. Nothing happens before the
+		// next arrival, failure, target change (known exactly for Stepped
+		// signals or a zero-reserve bid), or calendar completion; an idle
+		// cluster also stops at the horizon boundary, where the drain-stop
+		// check must run. Clean steps start nothing (startJobs needs a
+		// dirty step), and a constant busy/down split holds the job budget
+		// — and therefore every cap — fixed, so each intervening second
+		// would record the same row. Feedback runs re-cap against
+		// wall-clock QoS every second and never take the busy window.
+		if targetFixed || stepped != nil {
 			clusterIdle := len(e.order) == 0 && scheduler.QueuedCount() == 0
-			if (clusterIdle && t < horizonS) ||
-				(!clusterIdle && e.calOn && !cfg.FeedbackQoSExempt && t < maxS) {
+			if (clusterIdle && t < horizonS) || (!clusterIdle && !cfg.FeedbackQoSExempt && t < maxS) {
 				end := maxS + 1
 				if clusterIdle {
 					end = horizonS
@@ -669,53 +627,9 @@ func Run(cfg Config) (Result, error) {
 				if e.calNext < int64(end) {
 					end = int(e.calNext)
 				}
-				running := len(e.order)
-				queuedN := scheduler.QueuedCount()
 				for s := t + 1; s < end; s++ {
-					rowNow := simEpoch.Add(time.Duration(s) * time.Second)
-					res.Tracking = append(res.Tracking, trace.Point{Time: rowNow, Target: target, Measured: measured})
-					powerIntegral += measured.Watts()
-					steps++
-					if s <= horizonS {
-						busyNodeSeconds += float64(busy)
-					}
-					if logger != nil {
-						logRec[0] = strconv.Itoa(s)
-						logRec[1] = strconv.Itoa(running)
-						logRec[2] = strconv.Itoa(queuedN)
-						logRec[3] = strconv.Itoa(busy)
-						logRec[4] = strconv.FormatFloat(target.Watts(), 'f', 0, 64)
-						logRec[5] = strconv.FormatFloat(measured.Watts(), 'f', 0, 64)
-						if err := logger.Write(logRec[:]); err != nil {
-							return Result{}, err
-						}
-					}
-					// Per-second counters, distributions, and retained series
-					// still advance (the determinism guard ties them to
-					// simulated seconds); gauges would be set to the values
-					// they already hold, so they are skipped.
-					cfg.Progress.Inc()
-					met.steps.Inc()
-					met.measuredDist.Observe(measured.Watts())
-					if cfg.Telemetry != nil {
-						tel.target.Record(rowNow, target.Watts())
-						tel.measured.Record(rowNow, measured.Watts())
-						tel.busy.Record(rowNow, float64(busy))
-						tel.running.Record(rowNow, float64(running))
-						tel.queued.Record(rowNow, float64(queuedN))
-						if tel.energy != nil {
-							tel.energy.Record(rowNow, cfg.Ledger.TotalJoulesAt(rowNow.UnixMilli()+1000))
-						}
-					}
-					if cfg.Tracer.Enabled() && s%traceEvery == 0 {
-						cfg.Tracer.Emit(obs.Event{Type: obs.EvSimStep, TimeUnixNano: rowNow.UnixNano(), Run: cfg.RunID, Fields: obs.F{
-							"t_s": s, "running": running, "queued": queuedN,
-							"busy_nodes": busy, "target_w": target.Watts(), "measured_w": measured.Watts(),
-						}})
-						sp := cfg.Tracer.StartSpanAt("sim_recap", obs.TraceContext{}, rowNow)
-						sp.Set("t_s", s).Set("jobs", running).
-							Set("target_w", target.Watts()).Set("measured_w", measured.Watts())
-						sp.EndAt(rowNow.Add(time.Second))
+					if err := emitRow(s); err != nil {
+						return Result{}, err
 					}
 				}
 				if end-1 > t {

@@ -3,7 +3,7 @@ package sim
 import (
 	"bytes"
 	"math"
-	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -108,6 +108,16 @@ func TestRunValidation(t *testing.T) {
 			wantErr: "not sorted by At",
 		},
 		{
+			name:    "zero base seconds",
+			mutate:  func(c *Config) { setBaseSeconds(c, 0) },
+			wantErr: "base execution time",
+		},
+		{
+			name:    "negative base seconds",
+			mutate:  func(c *Config) { setBaseSeconds(c, -5) },
+			wantErr: "base execution time",
+		},
+		{
 			name: "budgeter without default model",
 			mutate: func(c *Config) {
 				c.Budgeter = budget.EvenSlowdown{}
@@ -131,36 +141,33 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestShardedRunMatchesSerial forces intra-step sharding on a small
-// cluster and requires results bit-identical to the serial loop for every
-// shard count — the invariant that lets large simulations fan the node
-// table out across cores without changing any published number.
+// setBaseSeconds gives c's first job type base execution time b and
+// makes it the whole arrival schedule.
+func setBaseSeconds(c *Config, b float64) {
+	typ := c.Types[0]
+	typ.BaseSeconds = b
+	c.Types = append([]workload.Type(nil), c.Types...)
+	c.Types[0] = typ
+	c.Arrivals = []schedule.Arrival{{JobID: "bad", TypeName: typ.Name, ClaimedType: typ.Name}}
+}
+
+// TestShardedRunMatchesSerial holds a denser 64-node run, executed
+// as 2, 4, and 7 concurrent copies sharing one Config, to the serial
+// reference engine.
 func TestShardedRunMatchesSerial(t *testing.T) {
-	base := smallConfig(t, 6, 0.15)
-	base.Nodes = 64
-	base.Shards = 1
+	cfg := smallConfig(t, 6, 0.15)
+	cfg.Nodes = 64
 	arrivals, err := schedule.Generate(schedule.Config{
-		RNG: stats.NewRNG(6), Types: base.Types,
-		Utilization: 0.8, TotalNodes: base.Nodes, Horizon: base.Horizon,
+		RNG: stats.NewRNG(6), Types: cfg.Types,
+		Utilization: 0.8, TotalNodes: cfg.Nodes, Horizon: cfg.Horizon,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.Arrivals = arrivals
-	serial, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4, 7, 64, 1000} {
-		cfg := base
-		cfg.Shards = shards
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("shards=%d: result differs from serial run", shards)
-		}
+	cfg.Arrivals = arrivals
+	want := reference(t, cfg)
+	for _, runs := range []int{2, 4, 7} {
+		requireConcurrentRunsMatch(t, cfg, want, runtime.GOMAXPROCS(0), runs)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // registers unseen types as they first appear.
 //
 // Run pulls one arrival ahead of simulated time (the look-ahead also
-// feeds the event-driven stepper's horizon), validates each arrival as it
+// feeds the step loop's fast-forward horizon), validates each arrival as it
 // is pulled, and stops pulling once the stream ends or the remaining
 // arrivals fall past the admission horizon.
 type ArrivalSource interface {
@@ -41,12 +41,20 @@ func (s *sliceSource) Next() (schedule.Arrival, workload.Type, bool, error) {
 }
 
 // validateArrival applies the per-arrival admission invariants shared by
-// the slice and streaming paths: the type must be runnable on this
-// cluster and timestamps must be non-decreasing.
+// the slice and streaming paths. The type must be runnable on this
+// cluster: a job wider than the cluster would sit at its queue head
+// forever, and one with no positive base execution time would never
+// progress (or finish in one step). Timestamps must be non-decreasing,
+// since admission walks arrivals front to back and would never admit an
+// early-timestamped straggler.
 func validateArrival(a schedule.Arrival, typ workload.Type, nodes int, prev schedule.Arrival, havePrev bool) error {
 	if typ.Nodes < 1 || typ.Nodes > nodes {
 		return fmt.Errorf("sim: arrival %s (type %s) needs %d nodes but the cluster has %d — it can never start",
 			a.JobID, a.TypeName, typ.Nodes, nodes)
+	}
+	if typ.BaseSeconds <= 0 {
+		return fmt.Errorf("sim: arrival %s (type %s) has no positive base execution time",
+			a.JobID, a.TypeName)
 	}
 	if havePrev && a.At < prev.At {
 		return fmt.Errorf("sim: arrivals not sorted by At: %s at %v precedes %s at %v",

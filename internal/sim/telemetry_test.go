@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"encoding/csv"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -92,19 +94,63 @@ func TestMeasureMatchesNaivePerNodeSum(t *testing.T) {
 }
 
 // TestTelemetryRecordsVirtualTimeSeries checks the retained series'
-// shape: one sample per simulated second stamped in virtual time, with
-// measured power matching the run's Tracking series.
+// shape on an idle-heavy run, so fast-forwarded seconds are covered
+// alongside stepped ones: one sample per simulated second stamped in
+// virtual time, measured power matching the run's Tracking series, and
+// busy nodes, running jobs, and queued jobs matching the TableLog row of
+// the same second.
 func TestTelemetryRecordsVirtualTimeSeries(t *testing.T) {
-	cfg := smallConfig(t, 7, 0.1)
+	cfg := sparseConfig(7)
 	st := telemetry.NewStore(telemetry.Resolution{Step: 1, Buckets: 1 << 16}, telemetry.Resolution{Step: 60, Buckets: 1 << 10})
 	cfg.Telemetry = st
+	var log bytes.Buffer
+	cfg.TableLog = &log
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSeriesMatchRows(t, st, res, log.Bytes())
+}
+
+// TestTelemetryEventDrivenMatchesFullStepping holds the series of a run
+// that fast-forwards long quiet gaps to the rows of the reference
+// engine, which steps and emits every second.
+func TestTelemetryEventDrivenMatchesFullStepping(t *testing.T) {
+	types := workload.LongRunning()
+	arrivals := []schedule.Arrival{
+		{JobID: "a", TypeName: types[0].Name, ClaimedType: types[0].Name, At: 0},
+		{JobID: "b", TypeName: types[0].Name, ClaimedType: types[0].Name, At: 8 * time.Minute},
+	}
+	cfg := Config{
+		Nodes: 32, Types: types, Arrivals: arrivals,
+		Bid:     dr.Bid{AvgPower: 32 * 180},
+		Signal:  dr.Constant(0),
+		Horizon: 10 * time.Minute,
+		Seed:    5,
+	}
+	want := reference(t, cfg)
+	st := telemetry.NewStore(telemetry.Resolution{Step: 1, Buckets: 1 << 16}, telemetry.Resolution{Step: 10, Buckets: 1 << 12})
+	cfg.Telemetry = st
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	requireSeriesMatchRows(t, st, want.res, want.log)
+}
+
+// requireSeriesMatchRows checks the retained per-second series against
+// a run's output: one sample per simulated second stamped in virtual
+// time, measured and target power matching the Tracking series, and
+// running jobs, queued jobs, and busy nodes matching the TableLog row of
+// the same second.
+func requireSeriesMatchRows(t *testing.T, st *telemetry.Store, res Result, log []byte) {
+	t.Helper()
 	pts := st.Series("sim_power_measured_watts").Snapshot(1, 0)
 	if len(pts) != len(res.Tracking) {
 		t.Fatalf("telemetry has %d samples, tracking has %d rows", len(pts), len(res.Tracking))
+	}
+	targets := st.Series("sim_power_target_watts").Snapshot(1, 0)
+	if len(targets) != len(res.Tracking) {
+		t.Fatalf("series sim_power_target_watts has %d samples, want %d", len(targets), len(res.Tracking))
 	}
 	for i, p := range pts {
 		want := res.Tracking[i]
@@ -117,48 +163,23 @@ func TestTelemetryRecordsVirtualTimeSeries(t *testing.T) {
 		if p.Count != 1 {
 			t.Fatalf("sample %d count = %d, want exactly one record per simulated second", i, p.Count)
 		}
-	}
-	for _, name := range []string{"sim_power_target_watts", "sim_busy_nodes", "sim_running_jobs", "sim_queued_jobs"} {
-		if got := len(st.Series(name).Snapshot(1, 0)); got != len(res.Tracking) {
-			t.Errorf("series %s has %d samples, want %d", name, got, len(res.Tracking))
+		if targets[i].Last != want.Target.Watts() {
+			t.Fatalf("target sample %d = %v W, want %v W", i, targets[i].Last, want.Target.Watts())
 		}
 	}
-}
-
-// TestTelemetryEventDrivenMatchesFullStepping holds the retained series
-// from an event-driven run (fast-forward bulk emission included) against
-// a full-stepping run second by second.
-func TestTelemetryEventDrivenMatchesFullStepping(t *testing.T) {
-	run := func(disable bool) *telemetry.Store {
-		types := workload.LongRunning()
-		// A sparse schedule with long quiet gaps so the event-driven run
-		// actually fast-forwards.
-		arrivals := []schedule.Arrival{
-			{JobID: "a", TypeName: types[0].Name, ClaimedType: types[0].Name, At: 0},
-			{JobID: "b", TypeName: types[0].Name, ClaimedType: types[0].Name, At: 8 * time.Minute},
-		}
-		st := telemetry.NewStore(telemetry.Resolution{Step: 1, Buckets: 1 << 16}, telemetry.Resolution{Step: 10, Buckets: 1 << 12})
-		cfg := Config{
-			Nodes: 32, Types: types, Arrivals: arrivals,
-			Bid:                dr.Bid{AvgPower: 32 * 180},
-			Signal:             dr.Constant(0),
-			Horizon:            10 * time.Minute,
-			Seed:               5,
-			Telemetry:          st,
-			DisableEventDriven: disable,
-		}
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		return st
+	rows, err := csv.NewReader(bytes.NewReader(log)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	full, fast := run(true), run(false)
-	for _, name := range full.Names() {
-		for _, step := range []int64{1, 10} {
-			want := full.Series(name).Snapshot(step, 0)
-			got := fast.Series(name).Snapshot(step, 0)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("series %s step %ds: event-driven telemetry diverges from full stepping", name, step)
+	rows = rows[1:] // header
+	for col, name := range map[int]string{1: "sim_running_jobs", 2: "sim_queued_jobs", 3: "sim_busy_nodes"} {
+		series := st.Series(name).Snapshot(1, 0)
+		if len(series) != len(rows) {
+			t.Fatalf("series %s has %d samples, TableLog %d rows", name, len(series), len(rows))
+		}
+		for i, p := range series {
+			if want, _ := strconv.ParseFloat(rows[i][col], 64); p.Last != want {
+				t.Fatalf("series %s second %s = %v, TableLog row says %v", name, rows[i][0], p.Last, want)
 			}
 		}
 	}
