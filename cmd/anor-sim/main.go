@@ -10,9 +10,10 @@
 //	anor-sim -nodes 1000 -runs 8 -parallel 4 -seed 1   # multi-seed sweep
 //
 // With -runs > 1 a live progress/throughput line updates on stderr
-// (disable with -progress=false); -events streams dr_bid and sim_step
-// JSONL events. With -telemetry ADDR the run serves /metrics,
-// /timeseries, and pprof so anor-top can attach live; -record FILE
+// (disable with -progress=false); -events streams JSONL events: dr_bid,
+// sim_step, sim_recap spans, and the SLO engine's alert transitions.
+// With -telemetry ADDR the run serves /metrics, /timeseries, and pprof
+// so anor-top can attach live; -record FILE
 // streams every telemetry sample into a flight-recorder file replayable
 // with anor-top -replay, and -profile-dir rotates continuous CPU/heap
 // profiles. Single runs carry a per-job energy ledger (printed after the
@@ -68,7 +69,7 @@ func main() {
 	runs := flag.Int("runs", 1, "independent runs; >1 reports per-run lines plus mean±std aggregates")
 	parallel := flag.Int("parallel", 0, "concurrent runs when -runs > 1 (0 = GOMAXPROCS)")
 	progress := flag.Bool("progress", true, "print a live progress/throughput line on stderr when -runs > 1")
-	eventsOut := flag.String("events", "", "stream structured JSONL events (dr_bid, sim_step) to this file; empty disables")
+	eventsOut := flag.String("events", "", "stream structured JSONL events (dr_bid, sim_step, sim_recap spans, SLO alerts) to this file; empty disables")
 	tracePath := flag.String("trace", "", "stream arrivals from a job trace (.csv or .jsonl) instead of the synthetic generator; -util and -scale are ignored")
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /timeseries, and pprof on this address so anor-top can attach live; empty disables")
 	recordOut := flag.String("record", "", "write every telemetry sample to this binary flight-recorder file (replayable with anor-top -replay)")

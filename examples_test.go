@@ -22,7 +22,6 @@ func TestExamplesRun(t *testing.T) {
 		{"quickstart", "GEOPM Report: quickstart-job"},
 		{"misclassification", "recovered"},
 		{"variation", "track-ok"},
-		{"facility", "total granted"},
 		{"demandresponse", "per-type mean slowdown"},
 	}
 	for _, c := range cases {

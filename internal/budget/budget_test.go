@@ -3,6 +3,7 @@ package budget
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -20,6 +21,19 @@ func catalogJobs() []Job {
 	}
 	return jobs
 }
+
+// randomJobs draws 1–64 jobs of random catalog types, 1–8 nodes each.
+func randomJobs(rng *rand.Rand) []Job {
+	types := workload.Catalog()
+	jobs := make([]Job, 1+rng.Intn(64))
+	for i := range jobs {
+		typ := types[rng.Intn(len(types))]
+		jobs[i] = Job{ID: fmt.Sprintf("j%02d", i), Nodes: 1 + rng.Intn(8), Model: typ.RelativeModel()}
+	}
+	return jobs
+}
+
+var budgeters = []Budgeter{EvenPower{}, EvenSlowdown{}, Uniform{}}
 
 func totalRange(jobs []Job) (min, max units.Power) {
 	for _, j := range jobs {
@@ -179,39 +193,77 @@ func TestAllocateEmptyJobs(t *testing.T) {
 	}
 }
 
+// TestAllocationsWithinModelRange checks every policy, on the catalog
+// and on random job sets, from below the minimum-cap total to above the
+// maximum: each job gets a cap inside its model range, and the slice form
+// AllocateInto selects exactly the caps of the map form Allocate.
 func TestAllocationsWithinModelRange(t *testing.T) {
-	jobs := catalogJobs()
-	min, max := totalRange(jobs)
-	for _, b := range []Budgeter{EvenPower{}, EvenSlowdown{}, Uniform{}} {
-		for budget := min - 200; budget <= max+200; budget += 150 {
-			alloc := b.Allocate(jobs, budget)
-			if len(alloc) != len(jobs) {
-				t.Fatalf("%s: allocation missing jobs", b.Name())
-			}
-			for _, j := range jobs {
-				cap := alloc[j.ID]
-				if cap < j.Model.PMin-1e-9 || cap > j.Model.PMax+1e-9 {
-					t.Errorf("%s at %v: %s cap %v outside [%v, %v]",
-						b.Name(), budget, j.ID, cap, j.Model.PMin, j.Model.PMax)
+	rng := rand.New(rand.NewSource(1))
+	sets := [][]Job{catalogJobs()}
+	for i := 0; i < 40; i++ {
+		sets = append(sets, randomJobs(rng))
+	}
+	for _, jobs := range sets {
+		min, max := totalRange(jobs)
+		step := (max - min + 400) / 24
+		out := make([]units.Power, len(jobs))
+		for _, b := range budgeters {
+			for budget := min - 200; budget <= max+200; budget += step {
+				alloc := b.Allocate(jobs, budget)
+				if len(alloc) != len(jobs) {
+					t.Fatalf("%s: allocation missing jobs", b.Name())
+				}
+				b.AllocateInto(jobs, budget, out)
+				for i, j := range jobs {
+					cap := alloc[j.ID]
+					if cap < j.Model.PMin-1e-9 || cap > j.Model.PMax+1e-9 {
+						t.Errorf("%s at %v: %s cap %v outside [%v, %v]",
+							b.Name(), budget, j.ID, cap, j.Model.PMin, j.Model.PMax)
+					}
+					if out[i] != cap {
+						t.Errorf("%s at %v: %s cap %v (Allocate) vs %v (AllocateInto)",
+							b.Name(), budget, j.ID, cap, out[i])
+					}
 				}
 			}
 		}
 	}
 }
 
+// TestAllocationNeverExceedsBudgetProperty draws a random job set and a
+// feasible budget (at least the minimum-cap total): every policy keeps
+// Σ caps within the budget, gives no job a lower cap under a larger
+// budget, and selects the same caps whatever the job order.
 func TestAllocationNeverExceedsBudgetProperty(t *testing.T) {
-	jobs := catalogJobs()
-	min, _ := totalRange(jobs)
-	f := func(raw uint16) bool {
-		budget := min + units.Power(raw%2500)
-		for _, b := range []Budgeter{EvenPower{}, EvenSlowdown{}} {
-			if b.Allocate(jobs, budget).TotalPower(jobs) > budget+2 {
-				return false
+	const tol = 1e-6 // watts
+	f := func(seed int64, raw, extra uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		jobs := randomJobs(rng)
+		min, max := totalRange(jobs)
+		budget := min + (max-min)*units.Power(1.2*float64(raw)/math.MaxUint16)
+		larger := budget + (max-min)*units.Power(0.2*float64(extra)/math.MaxUint16)
+		shuffled := append([]Job(nil), jobs...)
+		rng.Shuffle(len(shuffled), func(i, k int) { shuffled[i], shuffled[k] = shuffled[k], shuffled[i] })
+		for _, b := range budgeters {
+			alloc := b.Allocate(jobs, budget)
+			if total := alloc.TotalPower(jobs); total > budget+2 {
+				t.Errorf("%s: %d jobs granted %v > budget %v", b.Name(), len(jobs), total, budget)
+			}
+			more := b.Allocate(jobs, larger)
+			perm := b.Allocate(shuffled, budget)
+			for _, j := range jobs {
+				if more[j.ID] < alloc[j.ID]-tol {
+					t.Errorf("%s: %s cap fell from %v to %v as the budget grew from %v to %v",
+						b.Name(), j.ID, alloc[j.ID], more[j.ID], budget, larger)
+				}
+				if d := math.Abs((perm[j.ID] - alloc[j.ID]).Watts()); d > tol {
+					t.Errorf("%s: %s cap %v in job order, %v shuffled", b.Name(), j.ID, alloc[j.ID], perm[j.ID])
+				}
 			}
 		}
-		return true
+		return !t.Failed()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -9,6 +9,7 @@ package clock
 import (
 	"container/heap"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -44,7 +45,9 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
 // Virtual is a manually advanced clock. Goroutines block on After/Sleep
 // until a driver calls Advance (or Step) to move time forward; this gives
-// deterministic, fast simulation of long-running control loops.
+// deterministic, fast simulation of long-running control loops. A driver
+// that cannot count the goroutines it paces calls Settle before each
+// Step.
 //
 // The zero value is not usable; create one with NewVirtual.
 type Virtual struct {
@@ -54,6 +57,13 @@ type Virtual struct {
 	seq     int // tiebreak so equal deadlines fire FIFO
 	blocked int // waiters currently enqueued; see WaitForWaiters
 	cond    *sync.Cond
+
+	// Settle's bookkeeping (settle.go). tracking turns it on; woken
+	// counts fired waiters not yet followed by a new After.
+	tracking bool
+	woken    int
+	busy     atomic.Int64
+	settled  settleState
 }
 
 type waiter struct {
@@ -102,6 +112,9 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 	heap.Push(&v.waiters, waiter{at: v.now.Add(d), seq: v.seq, ch: ch})
 	v.seq++
 	v.blocked++
+	if v.woken > 0 {
+		v.woken-- // a woken goroutine waiting again, as Settle assumes
+	}
 	v.cond.Broadcast()
 	return ch
 }
@@ -132,6 +145,9 @@ func (v *Virtual) Advance(d time.Duration) int {
 		v.blocked--
 		fired++
 	}
+	if v.tracking {
+		v.woken += fired
+	}
 	v.now = target
 	return fired
 }
@@ -150,6 +166,9 @@ func (v *Virtual) Step() bool {
 		w := heap.Pop(&v.waiters).(waiter)
 		w.ch <- w.at
 		v.blocked--
+		if v.tracking {
+			v.woken++
+		}
 	}
 	if at.After(v.now) {
 		v.now = at

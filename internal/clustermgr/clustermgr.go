@@ -347,6 +347,13 @@ func (m *Manager) handleConn(c *proto.Conn) {
 	if err != nil || first.Kind != proto.KindHello {
 		return
 	}
+	if !first.Hello.Registrable() {
+		// A job with no ID or no nodes would enter the budgeter as a
+		// negative or empty claim on the job budget and inflate every
+		// honest job's share; register nothing.
+		m.cfg.Log.Warnf("refusing hello for job %q with %d nodes", first.Hello.JobID, first.Hello.Nodes)
+		return
+	}
 	if m.cfg.Epoch > 0 && first.Epoch > m.cfg.Epoch {
 		// The endpoint has already heard from a newer controller
 		// generation: this manager is the stale one. Refusing the
@@ -507,8 +514,9 @@ func (m *Manager) handleConn(c *proto.Conn) {
 			if journal != nil {
 				m.append(*journal)
 			}
-			m.met.modelUpdates.Inc()
+			// Power first: a scrape that counts this update also sees it.
 			m.met.jobPower.With(hello.JobID).Set(u.PowerWatts)
+			m.met.modelUpdates.Inc()
 			// A traced update echoes the decision context the job last ran
 			// under, closing the decision → actuation → feedback loop.
 			if d := env.TraceContext(); d.RootStartUnixNano > 0 {

@@ -1,7 +1,9 @@
 package clustermgr
 
 import (
+	"errors"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -246,6 +248,59 @@ func TestConnectionDropDeregisters(t *testing.T) {
 	j := attachFakeJob(t, m, "drop", "bt.D.81", 2)
 	j.conn.Close()
 	waitFor(t, func() bool { return m.ActiveJobs() == 0 })
+}
+
+// TestHelloWithoutIDOrNodesIsRefused: a Hello naming no job or claiming
+// no nodes must close the connection and register nothing. Registered, a
+// negative node count enters the budgeter's Σ cap×nodes as a credit, so
+// the honest jobs' caps overrun the job budget.
+func TestHelloWithoutIDOrNodesIsRefused(t *testing.T) {
+	const target units.Power = 1500
+	for _, c := range []struct {
+		name  string
+		hello proto.Hello
+	}{
+		{"zero nodes", proto.Hello{JobID: "liar", TypeName: "bt.D.81", Nodes: 0}},
+		{"negative nodes", proto.Hello{JobID: "liar", TypeName: "bt.D.81", Nodes: -4}},
+		{"empty id", proto.Hello{TypeName: "bt.D.81", Nodes: 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig(clock.NewVirtual(t0), target)
+			cfg.IdlePower = workload.NodeIdlePower
+			m, err := NewManager(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bt := attachFakeJob(t, m, "bt-1", "bt.D.81", 2)
+			sp := attachFakeJob(t, m, "sp-1", "sp.D.81", 2)
+
+			a, b := net.Pipe()
+			m.AttachConn(proto.NewConn(a))
+			liar := proto.NewConn(b)
+			defer liar.Close()
+			liar.SetTimeouts(2*time.Second, 0)
+			hello := c.hello
+			if err := liar.Send(proto.Envelope{Kind: proto.KindHello, Hello: &hello}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := liar.Recv(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("manager kept the connection open (recv err %v)", err)
+			}
+			if n := m.ActiveJobs(); n != 2 {
+				t.Fatalf("ActiveJobs = %d, want the 2 honest jobs", n)
+			}
+
+			m.Tick()
+			waitFor(t, func() bool { _, ok := bt.lastCap(); return ok })
+			waitFor(t, func() bool { _, ok := sp.lastCap(); return ok })
+			btCap, _ := bt.lastCap()
+			spCap, _ := sp.lastCap()
+			jobBudget := target - cfg.IdlePower*units.Power(cfg.TotalNodes-4)
+			if granted := 2*btCap + 2*spCap; granted > jobBudget+1e-6 {
+				t.Errorf("honest jobs granted %v > job budget %v", granted, jobBudget)
+			}
+		})
+	}
 }
 
 func TestTrackingRecordsIdleAndJobPower(t *testing.T) {

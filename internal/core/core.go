@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -287,7 +286,7 @@ func (c *Cluster) RunJob(ctx context.Context, spec JobSpec) (JobResult, error) {
 		return res, err
 	}
 
-	jobSide, mgrSide := net.Pipe()
+	jobSide, mgrSide := pipe(c.cfg.Clock)
 	c.mgr.AttachConn(proto.NewConn(mgrSide))
 	epd, err := endpointd.New(endpointd.Config{
 		JobID:    spec.ID,

@@ -1,17 +1,21 @@
 package core
 
 import (
-	"runtime"
+	"net"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
 )
 
 // Drive runs fn while advancing the virtual clock v, firing each pending
-// deadline in order until fn returns. Between firings it yields the
-// processor until the set of parked waiters stabilizes, which keeps
-// virtual-time experiments honest: a component that wakes at virtual time
-// T gets to schedule its next wait before the clock moves past it.
+// deadline in order until fn returns. Before every firing it waits for
+// the emulated world to settle (clock.Virtual.Settle): every goroutine
+// the caller started, fn's and the cluster's included, is blocked. A
+// component that wakes at virtual time T therefore finishes its work,
+// frames it exchanges with other tiers included, and schedules its next
+// wait before the clock moves past T, however the host schedules
+// threads. Call NewCluster from the goroutine that calls Drive.
 //
 // Drive is how hour-long cluster experiments (§6.3) run in seconds of
 // wall time.
@@ -21,59 +25,68 @@ func Drive(v *clock.Virtual, fn func()) {
 		defer close(done)
 		fn()
 	}()
-	idle := 0
 	for {
+		v.Settle(done)
 		select {
 		case <-done:
 			return
 		default:
 		}
-		if v.PendingWaiters() > 0 {
-			v.Step()
-			quiesce(v, done)
-			idle = 0
-		} else {
-			// No waiters yet: let other goroutines run; back off to a
-			// real sleep only if the system stays quiet.
-			idle++
-			if idle < 100 {
-				runtime.Gosched()
-			} else {
-				time.Sleep(50 * time.Microsecond)
-			}
+		if !v.Step() {
+			// Settled with nothing on the clock: the world waits on
+			// something outside virtual time.
+			time.Sleep(50 * time.Microsecond)
 		}
 	}
 }
 
-// quiesce yields until the set of parked waiters stops changing (all
-// goroutines woken by the last Step have re-parked or finished), bounded
-// by a generous yield budget. On a loaded box a bounded slice of real
-// sleeps backs the yields up so blocked-on-I/O goroutines still get CPU.
-func quiesce(v *clock.Virtual, done <-chan struct{}) {
-	last := -1
-	stable := 0
-	for i := 0; i < 4000; i++ {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		n := v.PendingWaiters()
-		if n == last {
-			stable++
-			// A run of unchanged counts across yields means every
-			// runnable goroutine has had a chance to park.
-			if stable >= 40 {
-				return
-			}
-		} else {
-			stable = 0
-			last = n
-		}
-		if i%500 == 499 {
-			time.Sleep(20 * time.Microsecond)
-		} else {
-			runtime.Gosched()
-		}
+// pipe returns the two ends of an in-process connection. On a virtual
+// clock both ends report their traffic to it as Busy work, which Settle
+// needs to know a frame is still being handled.
+func pipe(clk clock.Clock) (net.Conn, net.Conn) {
+	a, b := net.Pipe()
+	v, ok := clk.(*clock.Virtual)
+	if !ok {
+		return a, b
+	}
+	return &pacedConn{Conn: a, v: v}, &pacedConn{Conn: b, v: v}
+}
+
+// pacedConn counts a pipe end's traffic as Busy work: each byte from
+// Write until a Read takes it, and the reader from the Read that returns
+// data until its next Read or Close, the time it spends handling it.
+type pacedConn struct {
+	net.Conn
+	v       *clock.Virtual
+	holding atomic.Bool
+}
+
+func (c *pacedConn) Write(p []byte) (int, error) {
+	c.v.Busy(int64(len(p)))
+	n, err := c.Conn.Write(p)
+	c.v.Busy(-int64(len(p) - n)) // bytes no reader will take
+	return n, err
+}
+
+func (c *pacedConn) Read(p []byte) (int, error) {
+	c.release()
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		// One update, so the count never dips to zero between the
+		// bytes leaving the pipe and the reader owning them.
+		c.holding.Store(true)
+		c.v.Busy(1 - int64(n))
+	}
+	return n, err
+}
+
+func (c *pacedConn) Close() error {
+	c.release()
+	return c.Conn.Close()
+}
+
+func (c *pacedConn) release() {
+	if c.holding.CompareAndSwap(true, false) {
+		c.v.Busy(-1)
 	}
 }

@@ -229,19 +229,6 @@ func evaluateNatural(seed uint64, nodes int, types []workload.Type, horizon time
 	return units.Power(sum / float64(n))
 }
 
-// ClockedHourlyTargets materializes a Fig. 9-style moving-target schedule
-// file: one TargetPoint per signal step over the horizon.
-func ClockedHourlyTargets(bid dr.Bid, signal dr.Signal, step, horizon time.Duration) []schedule.TargetPoint {
-	if step <= 0 {
-		step = 4 * time.Second
-	}
-	var pts []schedule.TargetPoint
-	for at := time.Duration(0); at <= horizon; at += step {
-		pts = append(pts, schedule.TargetPoint{At: at, Target: bid.Target(signal.At(at))})
-	}
-	return pts
-}
-
 // autoClock is a tiny helper for experiments needing a throwaway clock.
 func autoClock() clock.Clock {
 	return clock.NewAuto(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))

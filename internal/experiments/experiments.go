@@ -6,21 +6,6 @@
 // numbers come from the same code paths a deployment would run.
 package experiments
 
-import (
-	"repro/internal/perfmodel"
-	"repro/internal/workload"
-)
-
-// CatalogModels returns the precharacterized relative curves by type name,
-// the model set the cluster tier is trained with.
-func CatalogModels() map[string]perfmodel.Model {
-	out := map[string]perfmodel.Model{}
-	for _, t := range workload.Catalog() {
-		out[t.Name] = t.RelativeModel()
-	}
-	return out
-}
-
 // Series is one named line of (x, y) points with optional per-point
 // spread (standard deviation or confidence half-width), the shape most
 // figures reduce to.

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	drpkg "repro/internal/dr"
 	"repro/internal/workload"
 )
 
@@ -251,20 +250,6 @@ func TestFig9TracksTarget(t *testing.T) {
 	// the time; the paper's worst case is 24%).
 	if !res.Summary.WithinConstraint {
 		t.Errorf("tracking constraint violated: P90 err = %v", res.P90Err)
-	}
-}
-
-func TestClockedHourlyTargets(t *testing.T) {
-	bid := drpkg.Bid{AvgPower: 3400, Reserve: 1100}
-	sig := drpkg.NewRandomWalk(3, 4*time.Second, 0.25, time.Hour)
-	pts := ClockedHourlyTargets(bid, sig, 4*time.Second, time.Minute)
-	if len(pts) != 16 {
-		t.Fatalf("points = %d, want 16", len(pts))
-	}
-	for _, p := range pts {
-		if p.Target < bid.AvgPower-bid.Reserve || p.Target > bid.AvgPower+bid.Reserve {
-			t.Errorf("target %v outside bid range", p.Target)
-		}
 	}
 }
 

@@ -159,7 +159,7 @@ func Fig9(cfg Fig9Config) (Fig9Result, error) {
 	return Fig9Result{
 		Tracking:       runRes.Tracking,
 		Summary:        trace.Summarize(window, cfg.Bid.Reserve),
-		P90Err:         trace.ErrorAtPercentile(errs, 90),
+		P90Err:         stats.Percentile(errs, 90),
 		SlowdownByType: runRes.SlowdownByType,
 		Jobs:           len(runRes.Results),
 	}, nil

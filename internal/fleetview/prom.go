@@ -9,9 +9,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // PromSample is one exposition line: a metric child with its labels.
@@ -166,10 +169,10 @@ func (m *PromMetrics) Total(name string, pairs ...string) (float64, int) {
 	return sum, n
 }
 
-// Quantile linearly interpolates quantile q (0..1) from the cumulative
-// `family_bucket` le series, summing children across any non-le labels
-// not pinned by pairs. The open +Inf bucket cannot be interpolated
-// into; a quantile landing there reports the largest finite bound.
+// Quantile estimates quantile q (0..1) with obs.BucketQuantile from the
+// cumulative `family_bucket` le series, summing children across any
+// non-le labels not pinned by pairs. It reports false when the family
+// has no finite bucket or no observations.
 func (m *PromMetrics) Quantile(family string, q float64, pairs ...string) (float64, bool) {
 	if m == nil {
 		return 0, false
@@ -194,25 +197,13 @@ func (m *PromMetrics) Quantile(family string, q float64, pairs ...string) (float
 	}
 	sort.Float64s(les)
 	total := cum[les[len(les)-1]]
-	if total == 0 {
-		return 0, false
+	if math.IsInf(les[len(les)-1], 1) {
+		les = les[:len(les)-1]
 	}
-	rank := q * total
-	lower, lowerCount := 0.0, 0.0
-	for _, le := range les {
-		c := cum[le]
-		if c >= rank {
-			if isInf(le) {
-				return lower, true
-			}
-			if c == lowerCount {
-				return le, true
-			}
-			return lower + (le-lower)*(rank-lowerCount)/(c-lowerCount), true
-		}
-		lower, lowerCount = le, c
+	counts := make([]float64, len(les))
+	for i, le := range les {
+		counts[i] = cum[le]
 	}
-	return lower, true
+	v := obs.BucketQuantile(les, counts, total, q)
+	return v, !math.IsNaN(v)
 }
-
-func isInf(v float64) bool { return v > 1e308 || v < -1e308 }

@@ -90,7 +90,7 @@ func (p *Proxy) AttachJob(c *proto.Conn) {
 func (p *Proxy) handleMember(c *proto.Conn) {
 	defer c.Close()
 	first, err := c.Recv()
-	if err != nil || first.Kind != proto.KindHello {
+	if err != nil || first.Kind != proto.KindHello || !first.Hello.Registrable() {
 		return
 	}
 	m := &proxyMember{id: first.Hello.JobID, nodes: first.Hello.Nodes, conn: c}

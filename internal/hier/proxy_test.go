@@ -2,7 +2,9 @@ package hier
 
 import (
 	"context"
+	"errors"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -70,6 +72,36 @@ func TestNewProxyValidation(t *testing.T) {
 		if _, err := NewProxy(cfg); err == nil {
 			t.Errorf("config without %s accepted", name)
 		}
+	}
+}
+
+// TestProxyRefusesHelloWithoutIDOrNodes: the proxy's member handshake
+// applies the cluster manager's check, so a bad Hello cannot reach the
+// rack's aggregate node count upstream.
+func TestProxyRefusesHelloWithoutIDOrNodes(t *testing.T) {
+	a, _ := net.Pipe()
+	upstream := proto.NewConn(a)
+	defer upstream.Close()
+	p, err := NewProxy(ProxyConfig{ID: "r", Upstream: upstream, ExpectedJobs: 1, Clock: clock.Real{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []proto.Hello{{JobID: "liar", Nodes: 0}, {JobID: "liar", Nodes: -4}, {Nodes: 2}} {
+		c, d := net.Pipe()
+		p.AttachJob(proto.NewConn(c))
+		member := proto.NewConn(d)
+		member.SetTimeouts(2*time.Second, 0)
+		if err := member.Send(proto.Envelope{Kind: proto.KindHello, Hello: &h}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := member.Recv(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("hello %+v: proxy kept the connection open (recv err %v)", h, err)
+		}
+		member.Close()
+	}
+	p.wg.Wait()
+	if n := len(p.members); n != 0 {
+		t.Errorf("members = %d, want 0", n)
 	}
 }
 

@@ -60,9 +60,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// NewGauge returns a standalone gauge.
-func NewGauge() *Gauge { return &Gauge{} }
-
 // Set stores v.
 func (g *Gauge) Set(v float64) {
 	if g == nil {
@@ -167,40 +164,48 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Quantile estimates the q-th quantile (q in [0, 1]) by linear
-// interpolation within the bucket containing it, the way PromQL's
-// histogram_quantile does: the answer is exact at bucket boundaries and
-// interpolated inside them, so its error is bounded by bucket width.
-// Observations in the +Inf bucket report the highest finite bound.
-// Returns NaN on a nil or empty histogram or an out-of-range q.
+// Quantile estimates the q-th quantile (q in [0, 1]) with
+// BucketQuantile. Returns NaN on a nil or empty histogram or an
+// out-of-range q.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || math.IsNaN(q) || q < 0 || q > 1 {
+	if h == nil {
 		return math.NaN()
 	}
-	total := h.count.Load()
-	if total == 0 {
+	total := float64(h.count.Load())
+	cum := make([]float64, len(h.bounds))
+	var c float64
+	for i := range h.bounds {
+		c += float64(h.counts[i].Load())
+		cum[i] = c
+	}
+	return BucketQuantile(h.bounds, cum, total, q)
+}
+
+// BucketQuantile estimates the q-th quantile (q in [0, 1]) from
+// cumulative bucket counts the way PromQL's histogram_quantile does:
+// cum[i] counts the observations ≤ bounds[i] (finite, ascending) and
+// total counts all of them, the +Inf bucket's included. The answer is
+// interpolated linearly inside the bucket holding rank q·total, with 0
+// as the first bucket's lower edge, so it is exact at bucket boundaries
+// and its error is bounded by bucket width. A rank in the +Inf bucket
+// reports the highest finite bound. Returns NaN for an out-of-range q,
+// a zero total, or no finite bound to report.
+func BucketQuantile(bounds, cum []float64, total, q float64) float64 {
+	if math.IsNaN(q) || q < 0 || q > 1 || total <= 0 || len(bounds) == 0 {
 		return math.NaN()
 	}
-	rank := q * float64(total)
-	var cum float64
-	for i, bound := range h.bounds {
-		c := float64(h.counts[i].Load())
-		if cum+c >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			if c == 0 {
+	rank := q * total
+	lower, lowerCount := 0.0, 0.0
+	for i, bound := range bounds {
+		if cum[i] >= rank {
+			if cum[i] == lowerCount {
 				return bound
 			}
-			return lower + (bound-lower)*(rank-cum)/c
+			return lower + (bound-lower)*(rank-lowerCount)/(cum[i]-lowerCount)
 		}
-		cum += c
+		lower, lowerCount = bound, cum[i]
 	}
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return math.NaN()
+	return lower
 }
 
 type metricKind int

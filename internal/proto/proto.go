@@ -58,6 +58,12 @@ type Hello struct {
 	Nodes int `json:"nodes"`
 }
 
+// Registrable reports whether h names a job a controller can budget: a
+// non-empty JobID and at least one node. Validate does not require
+// either, so each tier that registers sessions checks this at its
+// handshake.
+func (h *Hello) Registrable() bool { return h.JobID != "" && h.Nodes > 0 }
+
 // ModelUpdate carries the job tier's current power-performance model and
 // latest measurements up to the cluster tier.
 type ModelUpdate struct {

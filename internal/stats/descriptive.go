@@ -48,15 +48,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return percentileSorted(sorted, p)
 }
 
-// PercentileSorted is like Percentile but requires xs to already be sorted
-// ascending, avoiding the copy. It returns 0 for an empty slice.
-func PercentileSorted(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return percentileSorted(xs, p)
-}
-
 func percentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]

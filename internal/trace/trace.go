@@ -85,13 +85,6 @@ func FractionWithin(errors []float64, threshold float64) float64 {
 	return float64(n) / float64(len(errors))
 }
 
-// ErrorAtPercentile returns the p-th percentile tracking error — the
-// paper's headline form "under X% error at least 90% of the time" is
-// ErrorAtPercentile(errs, 90) ≤ X.
-func ErrorAtPercentile(errors []float64, p float64) float64 {
-	return stats.Percentile(errors, p)
-}
-
 // Summary bundles the tracking metrics for one run.
 type Summary struct {
 	// Points is the series length.
@@ -116,7 +109,7 @@ func Summarize(points []Point, reserve units.Power) Summary {
 	if len(points) > 0 {
 		s.MeanAbsErr = units.Power(absSum / float64(len(points)))
 	}
-	s.P90Err = ErrorAtPercentile(errs, 90)
+	s.P90Err = stats.Percentile(errs, 90)
 	s.WithinConstraint = FractionWithin(errs, 0.30) >= 0.90
 	return s
 }

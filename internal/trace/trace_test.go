@@ -57,13 +57,6 @@ func TestFractionWithin(t *testing.T) {
 	}
 }
 
-func TestErrorAtPercentile(t *testing.T) {
-	errs := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	if got := ErrorAtPercentile(errs, 50); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("P50 = %v", got)
-	}
-}
-
 func TestSummarizeConstraint(t *testing.T) {
 	// 95% of points at 10% error, 5% at 50%: constraint holds.
 	var pts []Point

@@ -17,7 +17,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/perfmodel"
 	"repro/internal/units"
@@ -171,13 +170,6 @@ func LeastSensitive() Type {
 		}
 	}
 	return out
-}
-
-// SortBySensitivity sorts types in place by descending power sensitivity.
-func SortBySensitivity(ts []Type) {
-	sort.SliceStable(ts, func(i, j int) bool {
-		return ts[i].Sensitivity() > ts[j].Sensitivity()
-	})
 }
 
 // Scale returns a copy of t with node count multiplied by f (e.g. 25 for

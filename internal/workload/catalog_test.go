@@ -132,14 +132,6 @@ func TestShortRunningAndLongRunning(t *testing.T) {
 	}
 }
 
-func TestSortBySensitivity(t *testing.T) {
-	ts := []Type{MustByName("is"), MustByName("bt"), MustByName("ft")}
-	SortBySensitivity(ts)
-	if ts[0].Name != "bt.D.81" || ts[2].Name != "is.D.32" {
-		t.Errorf("sorted order: %v", ts)
-	}
-}
-
 func TestScale(t *testing.T) {
 	bt := MustByName("bt")
 	big := bt.Scale(25)
