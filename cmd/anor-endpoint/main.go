@@ -7,11 +7,12 @@
 //
 // With -metrics it serves /metrics, /healthz, and pprof, exposing epoch
 // rates, cap-application latency, and model-fit residuals; -events
-// streams epoch-batch/model-refit/cap-fan-out events as JSONL;
-// -telemetry retains job-labelled power/cap/epoch-rate rollup series as
-// /timeseries, and -record tees them into a flight-recorder file. An
-// energy ledger accrues this job's joules from every sample, serves
-// /accounting on the -metrics address, and prints an energy line at exit.
+// streams epoch-batch/model-refit events and cap_apply/cap_fanout spans
+// as JSONL; -telemetry retains job-labelled power/cap/epoch-rate rollup
+// series as /timeseries, and -record tees them into a flight-recorder
+// file. An energy ledger accrues this job's joules from every sample,
+// serves /accounting on the -metrics address, and prints an energy line
+// at exit.
 //
 // Usage:
 //

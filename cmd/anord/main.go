@@ -8,7 +8,7 @@
 // text), /healthz, and the net/http/pprof suite, exposing rebudget-loop
 // duration, per-job allocated vs measured power, tracking error, and
 // connected-endpoint counts while the daemon runs. With -events it
-// streams structured budget-decision/cap-fan-out events as JSONL. With
+// streams rebudget/set_budget spans and model-update events as JSONL. With
 // -telemetry it retains multi-resolution rollup series (1s/10s/60s) and
 // serves them as /timeseries JSON for anor-top; -record additionally
 // streams every sample into a binary flight-recorder file that anor-top

@@ -142,11 +142,11 @@ func TestEndToEndDaemons(t *testing.T) {
 	}
 
 	// The -events stream is flushed periodically and on shutdown; by now
-	// at least the periodic flush should have landed budget decisions.
+	// at least the periodic flush should have landed rebudget spans.
 	if raw, err := os.ReadFile(events); err != nil {
 		t.Errorf("reading events file: %v", err)
-	} else if !strings.Contains(string(raw), `"type":"budget_decision"`) {
-		t.Errorf("events file has no budget_decision records:\n%.2000s", raw)
+	} else if !strings.Contains(string(raw), `"name":"rebudget"`) {
+		t.Errorf("events file has no rebudget spans:\n%.2000s", raw)
 	}
 
 	// Stop anord so its final event flush lands, then reconstruct the

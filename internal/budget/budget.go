@@ -61,8 +61,9 @@ type Budgeter interface {
 	// exceeding it (except when even minimum caps exceed the budget, in
 	// which case all jobs get their minimum cap — hardware cannot go
 	// lower). It is a convenience wrapper over AllocateInto for callers
-	// that want a map (the daemons, which rebudget a few times a second);
-	// per-step hot loops use AllocateInto.
+	// that want a map keyed by job ID (the experiments' offline analyses
+	// and the rack proxy's re-balance); the cluster manager and the
+	// simulator call AllocateInto.
 	Allocate(jobs []Job, budget units.Power) Allocation
 	// AllocateInto is the allocation-free form of Allocate: it writes
 	// job i's per-node cap to out[i] and performs no heap allocation, so

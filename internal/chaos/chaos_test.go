@@ -211,12 +211,14 @@ func TestChaosEndToEnd(t *testing.T) {
 	// 5% frame drops, a mid-frame reset every 40th frame, and a 300 ms
 	// partition shortly into the run.
 	freg := obs.NewRegistry()
+	partition := faults.Window{From: 400 * time.Millisecond, To: 700 * time.Millisecond}
 	in := faults.NewInjector(faults.Plan{
 		Seed:       11,
 		DropProb:   0.05,
 		ResetEvery: 40,
-		Partitions: []faults.Window{{From: 400 * time.Millisecond, To: 700 * time.Millisecond}},
+		Partitions: []faults.Window{partition},
 	}, nil, freg)
+	chaosStart := time.Now() // no earlier than the injector's epoch
 	dial := in.WrapDial(func() (net.Conn, error) { return net.Dial("tcp", addr) })
 
 	ereg := obs.NewRegistry()
@@ -256,7 +258,9 @@ func TestChaosEndToEnd(t *testing.T) {
 	waitFor(t, "injected resets observed", func() bool {
 		return freg.Counter("faults_resets_total", "").Value() >= 1
 	})
-	waitFor(t, "partition over", func() bool { return !in.Partitioned() })
+	// Partitioned() also reads false before the window opens, and the
+	// zombie eviction can finish by then; wait for the window's end.
+	waitFor(t, "partition over", func() bool { return time.Since(chaosStart) >= partition.To })
 	waitFor(t, "both endpoints re-registered after the chaos", func() bool {
 		return cl.mgr.ActiveJobs() == 2
 	})

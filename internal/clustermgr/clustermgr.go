@@ -14,6 +14,8 @@ import (
 	"math"
 	"net"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -80,8 +82,8 @@ type Config struct {
 	// per-job allocated vs measured power). Nil disables with no
 	// measurable overhead.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives structured budget-decision and
-	// cap-fan-out events.
+	// Tracer, when non-nil, receives each tick's rebudget span with one
+	// set_budget child per cap sent, and a model_update event per update.
 	Tracer *obs.Tracer
 	// Telemetry, when non-nil, retains per-tick target/measured/tracking
 	// series in rollup rings — the data behind /timeseries and the flight
@@ -216,6 +218,9 @@ type jobState struct {
 	// reconnect-supersede: the fresh session inherits the handle so the
 	// job keeps one continuous record.
 	led ledger.Handle
+	// successor is the session that superseded this one on a reconnect;
+	// a tick that sent this session a cap records it there.
+	successor *jobState
 
 	// Journal dedup state: the last model / power rate / throttle flag
 	// written to the WAL, so steady-state ticks append nothing.
@@ -316,8 +321,12 @@ func (m *Manager) JobCap(id string) (units.Power, bool) {
 
 // Serve accepts connections until the listener closes, registering each as
 // a job-tier endpoint. It is the TCP entry point; in-process experiments
-// can call AttachConn directly with net.Pipe ends.
+// can call AttachConn directly with net.Pipe ends. Wait also waits for
+// Serve to return, so a connection accepted as the listener closes is
+// counted before Wait can finish.
 func (m *Manager) Serve(ln net.Listener) error {
+	m.wg.Add(1)
+	defer m.wg.Done()
 	for {
 		c, err := ln.Accept()
 		if err != nil {
@@ -420,6 +429,7 @@ func (m *Manager) handleConn(c *proto.Conn) {
 		j.connectedMs = old.connectedMs
 		j.walModel, j.walModelSet = old.walModel, old.walModelSet
 		j.walPowerMW, j.walPowerSet, j.walThrottled = old.walPowerMW, old.walPowerSet, old.walThrottled
+		old.successor = j
 	}
 	m.jobs[hello.JobID] = j
 	m.mu.Unlock()
@@ -547,14 +557,89 @@ func (m *Manager) handleConn(c *proto.Conn) {
 
 func ptr[T any](v T) *T { return &v }
 
-// snapshot builds the budgeter's view of running jobs. A trained online
-// model older than ModelTTL is treated as stale: the job falls back to
-// its precharacterized believed curve until fresh feedback arrives.
-func (m *Manager) snapshot(now time.Time) (jobs []budget.Job, conns map[string]*proto.Conn, busyNodes int, measured units.Power) {
+// tickSession is one registered session as a tick sees it: the liveness
+// verdict reached under the lock travels with it to the unlocked sends.
+type tickSession struct {
+	j    *jobState
+	ping uint64 // probe sequence to send; zero sends none
+	dead bool   // evicted this tick: nothing more is sent to it
+}
+
+// evict closes a session's connection; its handler then deregisters the
+// job and the next rebudget reclaims its budget share.
+func (m *Manager) evict(s *tickSession) {
+	s.dead = true
+	m.met.evictions.Inc()
+	_ = s.j.conn.Close()
+}
+
+// Tick runs one control iteration: rebudget against the current target and
+// record the tracking point. Exposed for deterministic drivers; Run calls
+// it on the configured period.
+//
+// One locked walk visits the sessions in job-ID order, so the budgeter
+// sees the same input whatever the map's iteration order. The walk makes
+// each liveness decision, accrues the ledger, dedups the power journal
+// and builds the budget inputs. Probes and cap sends run unlocked, and a
+// second critical section records the caps sent.
+func (m *Manager) Tick() {
+	var wallStart time.Time
+	if m.met.rebudgetDur != nil {
+		wallStart = time.Now()
+	}
+	now := m.cfg.Clock.Now()
+	nowMs := now.UnixMilli()
+	target := m.cfg.Target(now)
+	hb := m.cfg.HeartbeatTimeout
+
+	// The rebudget round is the root of the causal trace: every cap this
+	// iteration pushes descends from it, through the job tier's policy
+	// write, down to the agent tree's hardware fan-out.
+	round := m.cfg.Tracer.StartSpanAt("rebudget", obs.TraceContext{}, now)
+
+	var recs []durable.Record
+	var measuredJobs units.Power
+	busyNodes, live := 0, 0
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	conns = make(map[string]*proto.Conn, len(m.jobs))
+	sessions := make([]tickSession, 0, len(m.jobs))
 	for _, j := range m.jobs {
+		sessions = append(sessions, tickSession{j: j})
+	}
+	slices.SortFunc(sessions, func(a, b tickSession) int { return strings.Compare(a.j.id, b.j.id) })
+	jobs := make([]budget.Job, len(sessions))
+	for i := range sessions {
+		s, j := &sessions[i], sessions[i].j
+		// An endpoint quiet past the heartbeat deadline is evicted; one
+		// quiet past half of it, and not probed for as long, is pinged.
+		switch quiet := now.Sub(j.lastSeen); {
+		case hb <= 0:
+			live++
+		case quiet >= hb:
+			s.dead = true
+		default:
+			live++
+			if quiet >= hb/2 && now.Sub(j.lastPing) >= hb/2 {
+				j.lastPing = now
+				j.pingSeq++
+				s.ping = j.pingSeq
+			}
+		}
+		if m.cfg.Ledger != nil {
+			// The job accrues its last-reported power until the next rate
+			// change, throttled while that power has reached its cap.
+			throttled := j.lastCap > 0 && j.lastPower >= j.lastCap*units.Power(j.nodes)
+			m.cfg.Ledger.SetPower(j.led, nowMs, j.lastPower.Watts(), throttled)
+			mw := quantMW(j.lastPower.Watts())
+			if m.durableOn() && (!j.walPowerSet || mw != j.walPowerMW || throttled != j.walThrottled) {
+				j.walPowerMW, j.walPowerSet, j.walThrottled = mw, true, throttled
+				recs = append(recs, durable.Record{
+					Kind: durable.KindPower, AtMs: nowMs,
+					Job: j.id, PowerW: j.lastPower.Watts(), Throttled: throttled,
+				})
+			}
+		}
+		// A trained model older than ModelTTL is stale: the job falls back
+		// to its precharacterized curve until fresh feedback arrives.
 		mdl := j.believed
 		if m.cfg.UseFeedback && j.trained {
 			if m.cfg.ModelTTL > 0 && now.Sub(j.lastUpdate) > m.cfg.ModelTTL {
@@ -563,197 +648,96 @@ func (m *Manager) snapshot(now time.Time) (jobs []budget.Job, conns map[string]*
 				mdl = j.online
 			}
 		}
-		jobs = append(jobs, budget.Job{ID: j.id, Nodes: j.nodes, Model: mdl})
-		conns[j.id] = j.conn
+		jobs[i] = budget.Job{ID: j.id, Nodes: j.nodes, Model: mdl}
 		busyNodes += j.nodes
-		measured += j.lastPower
+		measuredJobs += j.lastPower
 	}
-	return jobs, conns, busyNodes, measured
-}
-
-// ledgerAccrue folds the tick's power view into the energy ledger: each
-// registered job accrues its last-reported power until the next rate
-// change, idle nodes accrue IdlePower. A job is counted throttled while
-// its reported power has reached its allocated whole-job cap.
-// It returns the power-rate journal records the tick produced (rates
-// that changed since the last journaled value), to be appended after
-// m.mu is released.
-func (m *Manager) ledgerAccrue(now time.Time, idleNodes int) []durable.Record {
-	ms := now.UnixMilli()
-	var recs []durable.Record
-	m.mu.Lock()
-	for _, j := range m.jobs {
-		throttled := j.lastCap > 0 && j.lastPower >= j.lastCap*units.Power(j.nodes)
-		m.cfg.Ledger.SetPower(j.led, ms, j.lastPower.Watts(), throttled)
-		if m.durableOn() {
-			mw := quantMW(j.lastPower.Watts())
-			if !j.walPowerSet || mw != j.walPowerMW || throttled != j.walThrottled {
-				j.walPowerMW, j.walPowerSet, j.walThrottled = mw, true, throttled
-				recs = append(recs, durable.Record{
-					Kind: durable.KindPower, AtMs: ms,
-					Job: j.id, PowerW: j.lastPower.Watts(), Throttled: throttled,
-				})
-			}
-		}
-	}
-	if m.durableOn() && (!m.walIdleSet || idleNodes != m.walIdleNodes) {
+	idleNodes := max(m.cfg.TotalNodes-busyNodes, 0)
+	if m.cfg.Ledger != nil && m.durableOn() && (!m.walIdleSet || idleNodes != m.walIdleNodes) {
 		m.walIdleNodes, m.walIdleSet = idleNodes, true
 		recs = append(recs, durable.Record{
-			Kind: durable.KindIdle, AtMs: ms,
+			Kind: durable.KindIdle, AtMs: nowMs,
 			Nodes: idleNodes, PowerW: m.cfg.IdlePower.Watts(),
 		})
 	}
 	m.mu.Unlock()
-	m.cfg.Ledger.SetIdle(ms, idleNodes, m.cfg.IdlePower.Watts())
-	return recs
-}
-
-// checkLiveness enforces the heartbeat deadline: endpoints quiet for more
-// than half the deadline are pinged, endpoints quiet past the full
-// deadline are evicted (connection closed; the handler deregisters and
-// the next rebudget reclaims the budget share). It also publishes the
-// live-endpoint gauge. No-op (everyone live) when the deadline is unset.
-func (m *Manager) checkLiveness(now time.Time) {
-	type peer struct {
-		id   string
-		conn *proto.Conn
-		seq  uint64
-	}
-	var pings, evictions []peer
-	live := 0
-	m.mu.Lock()
-	for _, j := range m.jobs {
-		if m.cfg.HeartbeatTimeout <= 0 {
-			live++
-			continue
-		}
-		quiet := now.Sub(j.lastSeen)
-		if quiet >= m.cfg.HeartbeatTimeout {
-			evictions = append(evictions, peer{id: j.id, conn: j.conn})
-			continue
-		}
-		live++
-		if quiet >= m.cfg.HeartbeatTimeout/2 && now.Sub(j.lastPing) >= m.cfg.HeartbeatTimeout/2 {
-			j.lastPing = now
-			j.pingSeq++
-			pings = append(pings, peer{id: j.id, conn: j.conn, seq: j.pingSeq})
-		}
-	}
-	m.mu.Unlock()
+	m.cfg.Ledger.SetIdle(nowMs, idleNodes, m.cfg.IdlePower.Watts())
 	m.met.live.Set(float64(live))
-	for _, p := range evictions {
-		m.cfg.Log.WithJob(p.id).Warnf("endpoint missed heartbeat deadline %v, evicting", m.cfg.HeartbeatTimeout)
-		m.met.evictions.Inc()
-		_ = p.conn.Close()
-	}
-	for _, p := range pings {
-		env := proto.Envelope{Kind: proto.KindPing, Ping: &proto.Ping{Seq: p.seq, TimestampUnixNano: now.UnixNano()}, Epoch: m.cfg.Epoch}
-		if err := p.conn.Send(env); err != nil {
-			// A probe that cannot even be written marks the endpoint dead
-			// now rather than at the deadline.
-			m.cfg.Log.WithJob(p.id).Warnf("liveness probe failed (%v), evicting", err)
-			m.met.evictions.Inc()
-			_ = p.conn.Close()
-			continue
-		}
-		m.met.pings.Inc()
-	}
-}
 
-// Tick runs one control iteration: rebudget against the current target and
-// record the tracking point. Exposed for deterministic drivers; Run calls
-// it on the configured period.
-func (m *Manager) Tick() {
-	var wallStart time.Time
-	if m.met.rebudgetDur != nil {
-		wallStart = time.Now()
-	}
-	now := m.cfg.Clock.Now()
-	target := m.cfg.Target(now)
-
-	// The rebudget round is the root of the causal trace: every cap this
-	// iteration pushes descends from it, through the job tier's policy
-	// write, down to the agent tree's hardware fan-out.
-	round := m.cfg.Tracer.StartSpanAt("rebudget", obs.TraceContext{}, now)
-
-	m.checkLiveness(now)
-	jobs, conns, busyNodes, measuredJobs := m.snapshot(now)
-	idleNodes := m.cfg.TotalNodes - busyNodes
-	if idleNodes < 0 {
-		idleNodes = 0
-	}
+	// A session evicted this tick stays in the budget inputs, so the
+	// survivors' caps leave room for what its nodes still draw.
 	idleDraw := m.cfg.IdlePower * units.Power(idleNodes)
-	if m.cfg.Ledger != nil {
-		for _, rec := range m.ledgerAccrue(now, idleNodes) {
-			m.append(rec)
-		}
-	}
-
 	jobBudget := target - idleDraw
-	alloc := m.cfg.Budgeter.Allocate(jobs, jobBudget)
+	caps := make([]units.Power, len(jobs))
+	m.cfg.Budgeter.AllocateInto(jobs, jobBudget, caps)
 	measured := measuredJobs + idleDraw
 	round.Set("target_w", target.Watts()).Set("job_budget_w", jobBudget.Watts()).
-		Set("measured_w", measured.Watts()).Set("jobs", len(jobs))
-	if m.cfg.Tracer.Enabled() {
-		fields := obs.F{
-			"target_w": target.Watts(), "job_budget_w": jobBudget.Watts(),
-			"measured_w": measured.Watts(), "jobs": len(jobs), "idle_nodes": idleNodes,
-		}
-		if ctx := round.Context(); ctx.Valid() {
-			fields["trace"] = ctx.TraceID
-		}
-		m.cfg.Tracer.Emit(obs.Event{Type: obs.EvBudgetDecision, TimeUnixNano: now.UnixNano(), Fields: fields})
-	}
+		Set("measured_w", measured.Watts()).Set("jobs", len(jobs)).Set("idle_nodes", idleNodes)
 
-	for _, j := range jobs {
-		cap, ok := alloc[j.ID]
-		if !ok {
+	for i := range sessions {
+		s := &sessions[i]
+		if s.dead {
+			m.cfg.Log.WithJob(s.j.id).Warnf("endpoint missed heartbeat deadline %v, evicting", hb)
+			m.evict(s)
 			continue
 		}
-		conn := conns[j.ID]
+		if s.ping > 0 {
+			env := proto.Envelope{Kind: proto.KindPing, Ping: &proto.Ping{Seq: s.ping, TimestampUnixNano: now.UnixNano()}, Epoch: m.cfg.Epoch}
+			if err := s.j.conn.Send(env); err != nil {
+				// A probe that cannot even be written marks the endpoint
+				// dead now rather than at the deadline.
+				m.cfg.Log.WithJob(s.j.id).Warnf("liveness probe failed (%v), evicting", err)
+				m.evict(s)
+				continue
+			}
+			m.met.pings.Inc()
+		}
+		cap := caps[i]
 		// Each cap push is a child span of the round; its context rides
 		// the envelope so the job tier continues the same trace.
 		sp := round.ChildAt("set_budget", now)
-		sp.SetJob(j.ID).Set("cap_w", cap.Watts())
+		sp.SetJob(s.j.id).Set("cap_w", cap.Watts()).Set("nodes", s.j.nodes)
 		env := proto.Envelope{Kind: proto.KindSetBudget, SetBudget: &proto.SetBudget{
-			JobID: j.ID, PowerCapWatts: cap.Watts(),
+			JobID: s.j.id, PowerCapWatts: cap.Watts(),
 		}, Trace: sp.Propagate(), Epoch: m.cfg.Epoch}
-		if err := conn.Send(env); err != nil {
+		if err := s.j.conn.Send(env); err != nil {
 			// Close the connection so a wedged socket (send timed out)
-			// cannot wedge again next round: the handler's Recv fails and
-			// deregisters the job, reclaiming its budget share.
+			// cannot wedge again next round.
 			m.met.capSendErrs.Inc()
-			m.met.evictions.Inc()
-			m.cfg.Log.WithJob(j.ID).Warnf("cap send failed (%v), dropping connection", err)
-			_ = conn.Close()
+			m.cfg.Log.WithJob(s.j.id).Warnf("cap send failed (%v), dropping connection", err)
+			m.evict(s)
 			sp.Set("send_err", true).EndAt(m.cfg.Clock.Now())
 			continue
 		}
 		sp.EndAt(m.cfg.Clock.Now())
-		capChanged := false
-		m.mu.Lock()
-		if js, ok := m.jobs[j.ID]; ok {
-			capChanged = js.lastCap != cap
-			js.lastCap = cap
-		}
-		m.mu.Unlock()
-		if capChanged && m.durableOn() {
-			m.append(durable.Record{
-				Kind: durable.KindCap, AtMs: now.UnixMilli(),
-				Job: j.ID, CapW: cap.Watts(),
-			})
-		}
 		m.met.capsSent.Inc()
-		m.met.jobAlloc.With(j.ID).Set(cap.Watts())
-		if m.cfg.Tracer.Enabled() {
-			fields := obs.F{"cap_w": cap.Watts(), "nodes": j.Nodes}
-			if ctx := sp.Context(); ctx.Valid() {
-				fields["trace"] = ctx.TraceID
-			}
-			m.cfg.Tracer.Emit(obs.Event{Type: obs.EvCapFanout, TimeUnixNano: now.UnixNano(), Job: j.ID, Fields: fields})
-		}
+		m.met.jobAlloc.With(s.j.id).Set(cap.Watts())
 	}
 	round.EndAt(m.cfg.Clock.Now())
+
+	// Record each cap sent on whichever session now owns the job ID: a
+	// reconnect that superseded the session mid-tick inherits it.
+	m.mu.Lock()
+	for i, s := range sessions {
+		if s.dead {
+			continue
+		}
+		j := s.j
+		for j.successor != nil {
+			j = j.successor
+		}
+		if j.lastCap != caps[i] && m.durableOn() {
+			recs = append(recs, durable.Record{
+				Kind: durable.KindCap, AtMs: nowMs,
+				Job: j.id, CapW: caps[i].Watts(),
+			})
+		}
+		j.lastCap = caps[i]
+	}
+	m.mu.Unlock()
+	for _, rec := range recs {
+		m.append(rec)
+	}
 
 	m.rec.Record(trace.Point{Time: now, Target: target, Measured: measured})
 	m.met.rebudgets.Inc()
@@ -800,5 +784,6 @@ func (m *Manager) Run(ctx context.Context) error {
 	return nil
 }
 
-// Wait blocks until all connection handlers have exited.
+// Wait blocks until all connection handlers have exited and Serve, if
+// running, has returned; close the listener first.
 func (m *Manager) Wait() { m.wg.Wait() }

@@ -74,21 +74,30 @@ func TestTickPopulatesMetricsAndEvents(t *testing.T) {
 		}
 	}
 
-	// One budget decision plus one cap fan-out per job.
-	var decisions, fanouts int
+	// One rebudget span plus one set_budget span per job.
+	var rebudgets, pushes int
 	for _, e := range ring.Events() {
-		switch e.Type {
-		case obs.EvBudgetDecision:
-			decisions++
-		case obs.EvCapFanout:
-			fanouts++
+		if e.Type != obs.EvSpan {
+			continue
+		}
+		switch e.Fields["name"] {
+		case "rebudget":
+			rebudgets++
+			if e.Fields["idle_nodes"] != 12 {
+				t.Errorf("rebudget idle_nodes = %v, want 12", e.Fields["idle_nodes"])
+			}
+		case "set_budget":
+			pushes++
 			if e.Job != "bt-1" && e.Job != "sp-1" {
-				t.Errorf("cap_fanout for unexpected job %q", e.Job)
+				t.Errorf("set_budget for unexpected job %q", e.Job)
+			}
+			if e.Fields["nodes"] != 2 {
+				t.Errorf("set_budget nodes = %v, want 2", e.Fields["nodes"])
 			}
 		}
 	}
-	if decisions != 1 || fanouts != 2 {
-		t.Errorf("events: %d decisions, %d fanouts; want 1, 2", decisions, fanouts)
+	if rebudgets != 1 || pushes != 2 {
+		t.Errorf("spans: %d rebudgets, %d set_budgets; want 1, 2", rebudgets, pushes)
 	}
 }
 

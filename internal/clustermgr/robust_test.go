@@ -48,13 +48,10 @@ func TestHeartbeatEvictionReclaimsBudget(t *testing.T) {
 
 	// At +10 s bt-1 has been quiet the full deadline: evicted. sp-1 was
 	// heard 4 s ago: alive.
-	// The eviction counter may read 1 or 2: the liveness eviction always
-	// counts, and the same tick's cap send to the just-closed connection
-	// counts again unless the handler deregistered first.
 	v.Advance(4 * time.Second)
 	m.Tick()
-	if got := cfg.Metrics.Counter("anord_endpoint_evictions_total", "").Value(); got < 1 {
-		t.Errorf("evictions = %d, want >= 1", got)
+	if got := cfg.Metrics.Counter("anord_endpoint_evictions_total", "").Value(); got != 1 {
+		t.Errorf("evictions = %d, want 1", got)
 	}
 	if got := cfg.Metrics.Gauge("anord_live_endpoints", "").Value(); got != 1 {
 		t.Errorf("live endpoints = %v, want 1", got)

@@ -84,8 +84,8 @@ type Config struct {
 	// (epoch rate, cap-application latency, model-fit residuals). Nil
 	// disables with no measurable overhead.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives structured epoch-batch, model-refit,
-	// and budget-received events.
+	// Tracer, when non-nil, receives structured epoch-batch and
+	// model-refit events and a cap_apply span per SetBudget.
 	Tracer *obs.Tracer
 	// Telemetry, when non-nil, retains per-sample power/cap/epoch-rate
 	// series under job-labeled names (endpoint_power_watts{job="..."}),
@@ -458,13 +458,6 @@ func (e *Endpoint) applyBudget(env proto.Envelope) {
 	e.persistState()
 
 	e.cfg.Log.Debugf("budget received: %.0f W/node", env.SetBudget.PowerCapWatts)
-	if e.cfg.Tracer.Enabled() {
-		fields := obs.F{"cap_w": env.SetBudget.PowerCapWatts}
-		if decision.Valid() {
-			fields["trace"] = decision.TraceID
-		}
-		e.cfg.Tracer.Emit(obs.Event{Type: obs.EvBudgetReceived, Job: e.cfg.JobID, Fields: fields})
-	}
 }
 
 // tick folds any fresh GEOPM sample into the modeler and reports the

@@ -39,7 +39,7 @@ type RuntimeConfig struct {
 	// Metrics, when non-nil, receives the runtime's cap-fan-out latency
 	// and policy counters. Nil disables with no measurable overhead.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives a cap_fanout event per applied
+	// Tracer, when non-nil, receives a cap_fanout span per applied
 	// policy.
 	Tracer *obs.Tracer
 }
@@ -216,13 +216,6 @@ func (r *Runtime) tick(now time.Time) error {
 		}
 		r.metPolicies.Inc()
 		sp.SetJob(r.cfg.JobID).Set("cap_w", cap.Watts()).Set("nodes", len(r.agents)).End()
-		if r.cfg.Tracer.Enabled() {
-			fields := obs.F{"cap_w": cap.Watts(), "nodes": len(r.agents)}
-			if policy.Trace.Valid() {
-				fields["trace"] = policy.Trace.TraceID
-			}
-			r.cfg.Tracer.Emit(obs.Event{Type: obs.EvCapFanout, Job: r.cfg.JobID, Fields: fields})
-		}
 	}
 
 	// Sample every live node; a node that errors (fail-stopped host) is

@@ -51,8 +51,8 @@ func TestRuntimeFanoutContinuesCausalTrace(t *testing.T) {
 		t.Errorf("cap_fanout parent=%v trace=%v, want %q/%q",
 			fan["parent"], fan["trace"], parent.SpanID, parent.TraceID)
 	}
-	if fan["nodes"] != 2 {
-		t.Errorf("cap_fanout nodes = %v, want 2", fan["nodes"])
+	if fan["nodes"] != 2 || fan["cap_w"] != 165.0 {
+		t.Errorf("cap_fanout nodes = %v cap_w = %v, want 2 and 165", fan["nodes"], fan["cap_w"])
 	}
 
 	var sb strings.Builder
@@ -62,17 +62,6 @@ func TestRuntimeFanoutContinuesCausalTrace(t *testing.T) {
 	if !strings.Contains(sb.String(), `geopm_decision_to_enforce_seconds_count{job="jx"} 1`) {
 		t.Errorf("decision-to-enforce histogram not observed:\n%s", sb.String())
 	}
-
-	// The flat cap_fanout event names the trace too.
-	for _, e := range ring.Events() {
-		if e.Type == obs.EvCapFanout {
-			if e.Fields["trace"] != parent.TraceID {
-				t.Errorf("cap_fanout event trace = %v, want %q", e.Fields["trace"], parent.TraceID)
-			}
-			return
-		}
-	}
-	t.Error("no flat cap_fanout event emitted")
 }
 
 // TestRuntimeUntracedPolicyEmitsNoSpanLinkage: a policy without context

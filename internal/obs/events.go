@@ -9,19 +9,11 @@ import (
 	"time"
 )
 
-// Event types emitted across the stack. The set mirrors the framework's
-// decision points: the cluster tier's budget loop, the fan-out of caps
-// through the GEOPM tree, the job tier's online-model lifecycle, the
-// demand-response bid, and the simulator's stepping.
+// Event types emitted across the stack, besides EvSpan. The cap path
+// (rebudget, set_budget, cap_apply, cap_fanout) is traced as spans; the
+// flat events cover the job tier's online-model lifecycle, the
+// demand-response bid, the simulator's stepping and SLO alerts.
 const (
-	// EvBudgetDecision is one cluster-tier rebudget: target, job budget,
-	// connected jobs, measured power.
-	EvBudgetDecision = "budget_decision"
-	// EvCapFanout is one cap application: a per-job cap pushed down the
-	// wire (cluster tier) or enforced across the agent tree (job tier).
-	EvCapFanout = "cap_fanout"
-	// EvBudgetReceived is a job-tier endpoint receiving a SetBudget.
-	EvBudgetReceived = "budget_received"
 	// EvModelRefit is the job-tier modeler accepting a new online fit.
 	EvModelRefit = "model_refit"
 	// EvModelUpdate is the cluster tier receiving a model update.

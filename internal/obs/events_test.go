@@ -14,8 +14,8 @@ func TestTracerWritesJSONL(t *testing.T) {
 	tr := NewTracer(&sb, "run-1")
 	tr.now = func() time.Time { return time.Unix(100, 42) }
 
-	tr.Emit(Event{Type: EvBudgetDecision, Fields: F{"target_w": 3400.0, "jobs": 2}})
-	tr.Emit(Event{Type: EvCapFanout, Job: "j1", Run: "override", TimeUnixNano: 7})
+	tr.Emit(Event{Type: EvDRBid, Fields: F{"target_w": 3400.0, "jobs": 2}})
+	tr.Emit(Event{Type: EvModelUpdate, Job: "j1", Run: "override", TimeUnixNano: 7})
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestTracerWritesJSONL(t *testing.T) {
 	if len(events) != 2 {
 		t.Fatalf("got %d lines, want 2", len(events))
 	}
-	if events[0].Type != EvBudgetDecision || events[0].Run != "run-1" || events[0].TimeUnixNano != 100*int64(time.Second)+42 {
+	if events[0].Type != EvDRBid || events[0].Run != "run-1" || events[0].TimeUnixNano != 100*int64(time.Second)+42 {
 		t.Errorf("event 0 = %+v: want stamped time and default run ID", events[0])
 	}
 	if events[0].Fields["target_w"] != 3400.0 {
