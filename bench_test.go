@@ -250,44 +250,6 @@ func BenchmarkAQATraining(b *testing.B) {
 	}
 }
 
-// BenchmarkTabularSimulator1000 measures the raw throughput of the §5.6
-// simulator at the paper's 1000-node scale (15 simulated minutes per
-// iteration).
-func BenchmarkTabularSimulator1000(b *testing.B) {
-	types := make([]workload.Type, 0, 6)
-	for _, t := range workload.LongRunning() {
-		types = append(types, t.Scale(25))
-	}
-	weights := map[string]float64{}
-	for _, t := range types {
-		weights[t.Name] = 1
-	}
-	for i := 0; i < b.N; i++ {
-		seed := uint64(i + 1)
-		arrivals, err := schedule.Generate(schedule.Config{
-			RNG: stats.NewRNG(seed), Types: types,
-			Utilization: 0.75, TotalNodes: 1000, Horizon: 15 * time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run(sim.Config{
-			Nodes: 1000, Types: types, Weights: weights, Arrivals: arrivals,
-			Bid:          dr.Bid{AvgPower: 150000, Reserve: 30000},
-			Signal:       dr.NewRandomWalk(seed, 4*time.Second, 0.25, 2*time.Hour),
-			Horizon:      15 * time.Minute,
-			Seed:         seed,
-			VariationStd: 0.05,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(len(res.Jobs)), "jobs")
-		}
-	}
-}
-
 // sweepBenchRun is one small simulator run for the sweep-engine
 // benchmarks: 32 nodes for 5 simulated minutes, seeded from the flat run
 // index so serial and parallel sweeps compute identical work.
@@ -337,49 +299,6 @@ func BenchmarkSweepSerial(b *testing.B) { benchmarkSweep(b, 1) }
 // BenchmarkSweepParallel runs the same 8-run sweep on GOMAXPROCS
 // workers; results are bit-identical to the serial sweep.
 func BenchmarkSweepParallel(b *testing.B) { benchmarkSweep(b, 0) }
-
-// BenchmarkSimStep measures the per-simulated-second cost of the tabular
-// simulator at the paper's 1000-node scale, reporting simulated steps per
-// wall-clock second. BENCH_sim.json tracks this number across engine
-// changes (the sim-steps/s metric divides by the arrival horizon, not the
-// drain-inclusive step count, so it understates raw throughput; the
-// history file measures actual steps).
-func BenchmarkSimStep(b *testing.B) {
-	const simNodes = 1000
-	horizon := 2 * time.Minute
-	types := make([]workload.Type, 0, 6)
-	for _, t := range workload.LongRunning() {
-		types = append(types, t.Scale(25))
-	}
-	weights := map[string]float64{}
-	for _, t := range types {
-		weights[t.Name] = 1
-	}
-	arrivals, err := schedule.Generate(schedule.Config{
-		RNG: stats.NewRNG(1), Types: types,
-		Utilization: 0.75, TotalNodes: simNodes, Horizon: horizon,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := sim.Run(sim.Config{
-			Nodes: simNodes, Types: types, Weights: weights, Arrivals: arrivals,
-			Bid:          dr.Bid{AvgPower: 150000, Reserve: 30000},
-			Signal:       dr.NewRandomWalk(1, 4*time.Second, 0.25, 2*time.Hour),
-			Horizon:      horizon,
-			Seed:         1,
-			VariationStd: 0.05,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	steps := horizon.Seconds() * float64(b.N)
-	b.ReportMetric(steps/b.Elapsed().Seconds(), "sim-steps/s")
-}
 
 func mean(m map[string]float64) float64 {
 	if len(m) == 0 {

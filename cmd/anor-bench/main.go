@@ -16,10 +16,13 @@
 //	anor-bench fig11     # 1000-node performance-variation study
 //	anor-bench qos       # §5.2 queue-trace wait/exec statistic
 //	anor-bench train     # AQA bid training (§4.4)
-//	anor-bench perf      # tabular-simulator throughput (see BENCH_sim.json)
+//	anor-bench ablate    # design-choice ablations (default policy, retrain threshold)
+//	anor-bench hier      # §8 two-level (rack proxy) allocation fidelity
 //	anor-bench energy    # per-job energy accounting report with conservation audit
-//	anor-bench check     # perf-regression gate against BENCH_sim.json (CI)
-//	anor-bench all       # everything above (perf and check excluded)
+//	anor-bench all       # everything above except energy
+//
+// Simulator throughput is measured by the bench/ module's sim-trace and
+// sim-policy workloads, not here.
 package main
 
 import (
@@ -33,12 +36,11 @@ var (
 	quick    = flag.Bool("quick", false, "reduced trial counts and horizons for a fast pass")
 	csvPath  = flag.String("csv", "", "write fig9's tracking series to this CSV file")
 	parallel = flag.Int("parallel", 0, "concurrent trials per experiment (0 = GOMAXPROCS); results are identical at any setting")
-	perfJSON = flag.String("perf-json", "", "append perf's measurements to this JSON history file (see BENCH_sim.json)")
 )
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: anor-bench [flags] {fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fit|qos|train|perf|energy|check|all}")
+		fmt.Fprintln(os.Stderr, "usage: anor-bench [flags] {fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fit|qos|train|ablate|hier|energy|all}")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -52,7 +54,7 @@ func main() {
 		"fig6": fig6, "fig7": fig7, "fig8": fig8,
 		"fig9": fig9, "fig10": fig10, "fig11": fig11,
 		"fit": fit, "qos": qos, "train": train, "ablate": ablate, "hier": hierTable,
-		"perf": perf, "energy": energy, "check": check,
+		"energy": energy,
 	}
 	if cmd == "all" {
 		for _, name := range []string{"fig3", "fit", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "qos", "train", "ablate", "hier"} {

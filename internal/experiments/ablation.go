@@ -99,8 +99,6 @@ func AblateDefaultPolicy(budgetW units.Power) []DefaultPolicyOutcome {
 	ep := workload.MustByName("ep")
 	ft := workload.MustByName("ft")
 	is := workload.MustByName("is")
-	truth := map[string]interface{ SlowdownAt(units.Power) float64 }{}
-	_ = truth
 
 	mk := func(assumed string) DefaultPolicyOutcome {
 		jobs := []budget.Job{

@@ -13,7 +13,8 @@ import (
 )
 
 // EnergyConfig parameterizes a per-job energy accounting run: the
-// SimPerf workload (75% utilization, variation, random-walk target)
+// long-running catalog types widened with the cluster (×nodes/40), a 75%
+// utilization schedule, 5% node variation and a random-walk target,
 // stepped once with the ledger attached.
 type EnergyConfig struct {
 	// Nodes is the simulated cluster size (default 1000).

@@ -3,6 +3,8 @@ package hier
 import (
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -123,15 +125,22 @@ func (p *Proxy) handleMember(c *proto.Conn) {
 	}
 }
 
-// rack snapshots the members as budgeter jobs; members that have not yet
-// reported a model are skipped (they keep their last cap).
+// rack snapshots the members as budgeter jobs in job-ID order, so the
+// rack model fitted over them and the summed power are bit-identical from
+// period to period while the members are unchanged. Members that have not
+// yet reported a model are skipped (they keep their last cap).
 func (p *Proxy) rack() (Rack, units.Power, map[string]*proto.Conn) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	members := make([]*proxyMember, 0, len(p.members))
+	for _, m := range p.members {
+		members = append(members, m)
+	}
+	slices.SortFunc(members, func(a, b *proxyMember) int { return strings.Compare(a.id, b.id) })
 	r := Rack{ID: p.cfg.ID}
 	var power units.Power
 	conns := map[string]*proto.Conn{}
-	for _, m := range p.members {
+	for _, m := range members {
 		power += m.power
 		if !m.hasModel {
 			continue

@@ -3,8 +3,12 @@ package hier
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"net"
 	"os"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -203,4 +207,67 @@ func waitFor(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestRackIsDeterministic holds the rack snapshot to job-ID order: the
+// same members inserted in two orders, snapshotted repeatedly, give a
+// bit-identical job list, summed power and fitted rack model, so an
+// unchanged rack never sends a different upstream model.
+func TestRackIsDeterministic(t *testing.T) {
+	var members []*proxyMember
+	for i := 0; i < 3; i++ {
+		for j, typ := range workload.Catalog() {
+			n := i*len(workload.Catalog()) + j
+			m := typ.RelativeModel()
+			m.PMax -= units.Power(n) * 0.37 // fractional ranges make float sums order-sensitive
+			members = append(members, &proxyMember{
+				id: fmt.Sprintf("m-%02d", n), nodes: typ.Nodes, model: m,
+				hasModel: n != 5, power: units.Power(100.1 * float64(n+1)),
+			})
+		}
+	}
+	proxyWith := func(order []*proxyMember) *Proxy {
+		p := &Proxy{cfg: ProxyConfig{ID: "r"}, members: map[string]*proxyMember{}}
+		for _, m := range order {
+			p.members[m.id] = m
+		}
+		return p
+	}
+	reversed := slices.Clone(members)
+	slices.Reverse(reversed)
+
+	want, wantPower, _ := proxyWith(members).rack()
+	wantModel, err := RackModel(want.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Proxy{proxyWith(members), proxyWith(reversed)} {
+		for k := 0; k < 10; k++ {
+			got, power, conns := p.rack()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("snapshot %d: rack jobs %v, want %v", k, jobIDs(got.Jobs), jobIDs(want.Jobs))
+			}
+			if math.Float64bits(power.Watts()) != math.Float64bits(wantPower.Watts()) {
+				t.Fatalf("snapshot %d: rack power %v, want %v", k, power, wantPower)
+			}
+			if len(conns) != len(members)-1 {
+				t.Fatalf("snapshot %d: %d conns, want %d", k, len(conns), len(members)-1)
+			}
+			model, err := RackModel(got.Jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if model != wantModel {
+				t.Fatalf("snapshot %d: rack model %+v, want %+v", k, model, wantModel)
+			}
+		}
+	}
+}
+
+func jobIDs(jobs []budget.Job) []string {
+	ids := make([]string, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.ID
+	}
+	return ids
 }

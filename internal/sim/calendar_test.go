@@ -193,32 +193,3 @@ func TestIntegralBaseSecondsFinishExactly(t *testing.T) {
 		}
 	}
 }
-
-// TestCalendarAllocsPerStep pins the calendar's steady-state allocation
-// budget: with a stepped walk recapping jobs every few seconds — the
-// worst case for calendar churn, every recap rescheduling every job —
-// the marginal cost
-// of an extra step must still be approximately zero allocations. The
-// name matches the CI perf-gate filter (AllocsPerStep).
-func TestCalendarAllocsPerStep(t *testing.T) {
-	allocsAt := func(h time.Duration) float64 {
-		cfg := steadyConfig(h, true)
-		cfg.Signal = dr.NewRandomWalk(21, 4*time.Second, 0.25, 2*time.Hour)
-		if _, err := Run(cfg); err != nil { // fail fast outside the measured loop
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(3, func() {
-			if _, err := Run(cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	shortH, longH := 30*time.Second, 120*time.Second
-	short, long := allocsAt(shortH), allocsAt(longH)
-	extraSteps := float64((4*120 + 1) - (4*30 + 1))
-	marginal := (long - short) / extraSteps
-	t.Logf("allocs: %v (short) → %v (long), %.4f per calendar step", short, long, marginal)
-	if marginal > 0.5 {
-		t.Errorf("calendar steady-state allocations = %.3f per step, want ~0 (≤0.5)", marginal)
-	}
-}

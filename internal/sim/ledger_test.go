@@ -156,36 +156,6 @@ func TestLedgerMatchesJobRecords(t *testing.T) {
 	}
 }
 
-// TestLedgerAllocsPerStep proves accounting-enabled stepping stays ≈0
-// allocations per step. A fresh ledger per run contributes only
-// per-run setup allocations (records, map), which the marginal
-// short-vs-long subtraction cancels; what remains is the per-step cost
-// of attribution, which must be nothing. The name matches the CI
-// perf-gate filter (AllocsPerStep).
-func TestLedgerAllocsPerStep(t *testing.T) {
-	allocsAt := func(h time.Duration) float64 {
-		cfg := steadyConfig(h, true)
-		cfg.Ledger = ledger.New()
-		if _, err := Run(cfg); err != nil { // warm up tables
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(3, func() {
-			cfg.Ledger = ledger.New()
-			if _, err := Run(cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	shortH, longH := 30*time.Second, 120*time.Second
-	short, long := allocsAt(shortH), allocsAt(longH)
-	extraSteps := float64((4*120 + 1) - (4*30 + 1))
-	marginal := (long - short) / extraSteps
-	t.Logf("allocs: %v (short) → %v (long), %.4f per ledger-enabled step", short, long, marginal)
-	if marginal > 0.5 {
-		t.Errorf("ledger-enabled stepping = %.3f allocs per step, want ~0 (≤0.5)", marginal)
-	}
-}
-
 // TestLedgerEnergyTelemetrySeries checks the cumulative energy series:
 // one sample per simulated second, monotone, ending at the ledger's
 // settled total — and absent entirely when no ledger is attached.

@@ -185,38 +185,6 @@ func requireSeriesMatchRows(t *testing.T, st *telemetry.Store, res Result, log [
 	}
 }
 
-// TestTelemetryAllocsPerStep proves telemetry-enabled stepping stays ≈0
-// allocations per step — retained telemetry must be cheap enough to
-// leave on for million-step policy sweeps. The name matches the CI
-// perf-gate filter (AllocsPerStep) so regressions fail every pull
-// request. The store and its flight recorder are created once outside
-// the measured loop, mirroring how a daemon or sweep would hold them.
-func TestTelemetryAllocsPerStep(t *testing.T) {
-	allocsAt := func(h time.Duration) float64 {
-		cfg := steadyConfig(h, true)
-		st := telemetry.NewStore()
-		cfg.Telemetry = st
-		rec := telemetry.NewRecorder(&bytes.Buffer{})
-		st.SetRecorder(rec)
-		if _, err := Run(cfg); err != nil { // warm up series + ring allocation
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(3, func() {
-			if _, err := Run(cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	shortH, longH := 30*time.Second, 120*time.Second
-	short, long := allocsAt(shortH), allocsAt(longH)
-	extraSteps := float64((4*120 + 1) - (4*30 + 1))
-	marginal := (long - short) / extraSteps
-	t.Logf("allocs: %v (short) → %v (long), %.4f per telemetry-enabled step", short, long, marginal)
-	if marginal > 0.5 {
-		t.Errorf("telemetry-enabled stepping = %.3f allocs per step, want ~0 (≤0.5)", marginal)
-	}
-}
-
 // TestTelemetryOffIsBitIdenticalToSeed pins that a telemetry-less config
 // still produces byte-identical results to one that never heard of the
 // field. The deep-equal against a second bare run guards against any
