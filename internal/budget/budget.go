@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"repro/internal/perfmodel"
-	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -140,6 +139,11 @@ func (EvenPower) AllocateInto(jobs []Job, budget units.Power, out []units.Power)
 //
 // chosen so total power meets the budget. Jobs whose model saturates at
 // the platform minimum cap level off there (Fig. 4).
+//
+// The slowdown is found by a safeguarded Newton solve of
+// f(s) = Σ n_j·P_j(s·T_j(p_max)) − budget over [1, sMax], with P_j in
+// closed form (perfmodel.Model.PowerFor). The solve keeps no state
+// between calls, so the caps depend only on the jobs and the budget.
 type EvenSlowdown struct{}
 
 // Name implements Budgeter.
@@ -150,8 +154,21 @@ func (b EvenSlowdown) Allocate(jobs []Job, budget units.Power) Allocation {
 	return allocateViaInto(b, jobs, budget)
 }
 
-// AllocateInto implements Budgeter without allocating: the bisection
-// evaluates candidate slowdowns directly into out.
+// slowdownTol is the relative step at which the Newton solve stops.
+const slowdownTol = 1e-12
+
+// AllocateInto implements Budgeter without allocating: every candidate
+// slowdown is evaluated directly into out.
+//
+// f is non-increasing in s, and convex for convex models, so Newton
+// steps from the f > 0 side approach the root without crossing it. The
+// solve therefore stops only on the feasible side (f ≤ 0, Σ caps within
+// the budget): at a Newton step below the tolerance, or once a feasible
+// point brackets the root to the tolerance. A step below the tolerance
+// from f > 0 steps across the root by twice the tolerance instead. A step
+// that leaves the bracket, or a slope that is not negative (every job
+// clamped, as next to the jump a flat model's cap makes just above
+// s = 1), bisects.
 func (EvenSlowdown) AllocateInto(jobs []Job, budget units.Power, out []units.Power) {
 	if len(jobs) == 0 {
 		return
@@ -165,30 +182,78 @@ func (EvenSlowdown) AllocateInto(jobs []Job, budget units.Power, out []units.Pow
 			sMax = s
 		}
 	}
-	capsAt := func(s float64) {
-		for i, j := range jobs {
-			out[i] = j.Model.PowerForSlowdown(s)
-		}
-	}
 	switch {
 	case budget >= maxSum:
-		capsAt(1)
+		for i, j := range jobs {
+			out[i] = j.Model.PMax
+		}
 		return
 	case budget <= minSum:
-		capsAt(sMax)
+		for i, j := range jobs {
+			out[i] = j.Model.PMin
+		}
 		return
 	}
-	// Total power is monotone non-increasing in s; bisect for the budget.
-	s := stats.Bisect(func(s float64) float64 {
-		capsAt(s)
-		return totalPowerOf(jobs, out).Watts() - budget.Watts()
-	}, 1, sMax, 1e-6, 200)
-	capsAt(s)
-	// Bisection can land a hair above the budget; nudge to the feasible
-	// side by one more refinement step against the sorted slowdown curve.
-	if totalPowerOf(jobs, out) > budget {
-		capsAt(math.Min(sMax, s*(1+1e-6)))
+	// Start from the secant through the bracket's endpoint values,
+	// f(1) = maxSum − budget > 0 and f(sMax) = minSum − budget < 0.
+	lo, hi := 1.0, sMax
+	flo, fhi := (maxSum - budget).Watts(), (minSum - budget).Watts()
+	s := lo + (hi-lo)*flo/(flo-fhi)
+	for iter := 0; iter < 200; iter++ {
+		if !(s > lo && s < hi) {
+			if s = lo + (hi-lo)/2; !(s > lo && s < hi) {
+				break // no float left between lo and hi
+			}
+		}
+		f, slope := slowdownCaps(jobs, s, sMax, out)
+		f -= budget.Watts()
+		if f <= 0 {
+			// Feasible, with the root bracketed to the tolerance: done.
+			if hi = s; hi-lo <= 4*slowdownTol*hi {
+				return
+			}
+		} else {
+			lo = s
+		}
+		if !(slope < 0) || math.IsInf(slope, 0) {
+			s = lo + (hi-lo)/2
+			continue
+		}
+		switch step := -f / slope; {
+		case math.Abs(step) > slowdownTol*s:
+			s += step
+		case f <= 0:
+			return
+		default:
+			s += 2 * slowdownTol * s // step across the root
+		}
 	}
+	slowdownCaps(jobs, hi, sMax, out)
+}
+
+// slowdownCaps writes every job's cap at slowdown s into out, returning
+// the total power Σ n_j·cap_j (summed in job order, as totalPowerOf and
+// Allocation.TotalPower do) and its derivative in s over the jobs whose
+// cap is not clamped. At s ≥ sMax every job is at its minimum cap, even
+// where rounding puts sMax·T(PMax) a hair below the slowest job's
+// T(PMin), and even when every model is flat (sMax = 1).
+func slowdownCaps(jobs []Job, s, sMax float64, out []units.Power) (total, slope float64) {
+	for i, j := range jobs {
+		m := j.Model
+		tMin := m.MinTime()
+		cap := m.PMin
+		if s < sMax {
+			cap = m.PowerFor(s * tMin) // PowerForSlowdown(s), reusing tMin
+		}
+		out[i] = cap
+		n := float64(j.Nodes)
+		total += cap.Watts() * n
+		if cap > m.PMin && cap < m.PMax {
+			// dP/ds = T(PMax) / T′(P).
+			slope += n * tMin / (2*m.A*cap.Watts() + m.B)
+		}
+	}
+	return total, slope
 }
 
 // Uniform caps every node at budget divided by total node count,

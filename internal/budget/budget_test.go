@@ -230,42 +230,158 @@ func TestAllocationsWithinModelRange(t *testing.T) {
 	}
 }
 
+// largeJobs draws 1000–1500 jobs of random catalog types, 1–8 nodes
+// each: a cluster-scale job set.
+func largeJobs(rng *rand.Rand) []Job {
+	types := workload.Catalog()
+	jobs := make([]Job, 1000+rng.Intn(501))
+	for i := range jobs {
+		typ := types[rng.Intn(len(types))]
+		jobs[i] = Job{ID: fmt.Sprintf("j%04d", i), Nodes: 1 + rng.Intn(8), Model: typ.RelativeModel()}
+	}
+	return jobs
+}
+
 // TestAllocationNeverExceedsBudgetProperty draws a random job set and a
 // feasible budget (at least the minimum-cap total): every policy keeps
 // Σ caps within the budget, gives no job a lower cap under a larger
-// budget, and selects the same caps whatever the job order.
+// budget, and selects the same caps whatever the job order. EvenSlowdown
+// stops its solve on the feasible side, so its bound is exact; EvenPower
+// and Uniform compute their caps in one pass and may exceed the budget by
+// the rounding of the sum, which the bound allows at 1e-12 relative.
 func TestAllocationNeverExceedsBudgetProperty(t *testing.T) {
 	const tol = 1e-6 // watts
-	f := func(seed int64, raw, extra uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		jobs := randomJobs(rng)
-		min, max := totalRange(jobs)
-		budget := min + (max-min)*units.Power(1.2*float64(raw)/math.MaxUint16)
-		larger := budget + (max-min)*units.Power(0.2*float64(extra)/math.MaxUint16)
-		shuffled := append([]Job(nil), jobs...)
-		rng.Shuffle(len(shuffled), func(i, k int) { shuffled[i], shuffled[k] = shuffled[k], shuffled[i] })
-		for _, b := range budgeters {
-			alloc := b.Allocate(jobs, budget)
-			if total := alloc.TotalPower(jobs); total > budget+2 {
-				t.Errorf("%s: %d jobs granted %v > budget %v", b.Name(), len(jobs), total, budget)
+	for _, tc := range []struct {
+		name  string
+		jobs  func(*rand.Rand) []Job
+		count int
+	}{
+		{"small", randomJobs, 200},
+		{"large", largeJobs, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := func(seed int64, raw, extra uint16) bool {
+				rng := rand.New(rand.NewSource(seed))
+				jobs := tc.jobs(rng)
+				min, max := totalRange(jobs)
+				budget := min + (max-min)*units.Power(1.2*float64(raw)/math.MaxUint16)
+				larger := budget + (max-min)*units.Power(0.2*float64(extra)/math.MaxUint16)
+				shuffled := append([]Job(nil), jobs...)
+				rng.Shuffle(len(shuffled), func(i, k int) { shuffled[i], shuffled[k] = shuffled[k], shuffled[i] })
+				for _, b := range budgeters {
+					alloc := b.Allocate(jobs, budget)
+					slack := budget * 1e-12
+					if b.Name() == (EvenSlowdown{}).Name() {
+						slack = 0
+					}
+					if total := alloc.TotalPower(jobs); total > budget+slack {
+						t.Errorf("%s: %d jobs granted %v > budget %v", b.Name(), len(jobs), total, budget)
+					}
+					more := b.Allocate(jobs, larger)
+					perm := b.Allocate(shuffled, budget)
+					for _, j := range jobs {
+						if more[j.ID] < alloc[j.ID]-tol {
+							t.Errorf("%s: %s cap fell from %v to %v as the budget grew from %v to %v",
+								b.Name(), j.ID, alloc[j.ID], more[j.ID], budget, larger)
+						}
+						if d := math.Abs((perm[j.ID] - alloc[j.ID]).Watts()); d > tol {
+							t.Errorf("%s: %s cap %v in job order, %v shuffled", b.Name(), j.ID, alloc[j.ID], perm[j.ID])
+						}
+					}
+				}
+				return !t.Failed()
 			}
-			more := b.Allocate(jobs, larger)
-			perm := b.Allocate(shuffled, budget)
-			for _, j := range jobs {
-				if more[j.ID] < alloc[j.ID]-tol {
-					t.Errorf("%s: %s cap fell from %v to %v as the budget grew from %v to %v",
-						b.Name(), j.ID, alloc[j.ID], more[j.ID], budget, larger)
-				}
-				if d := math.Abs((perm[j.ID] - alloc[j.ID]).Watts()); d > tol {
-					t.Errorf("%s: %s cap %v in job order, %v shuffled", b.Name(), j.ID, alloc[j.ID], perm[j.ID])
-				}
+			if err := quick.Check(f, &quick.Config{MaxCount: tc.count}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// fuzzJobs draws 1–64 jobs with random monotone models — convex,
+// concave, linear and flat — over random power ranges, 1–64 nodes each.
+func fuzzJobs(rng *rand.Rand) []Job {
+	jobs := make([]Job, 1+rng.Intn(64))
+	for i := range jobs {
+		pMin := units.Power(40 + 160*rng.Float64())
+		pMax := pMin + units.Power(1+250*rng.Float64())
+		tMin := 0.1 + 10*rng.Float64()
+		m := perfmodel.Model{C: tMin, PMin: pMin, PMax: pMax}
+		if rng.Intn(8) != 0 {
+			tMax := tMin * (1 + 2*rng.Float64())
+			m = perfmodel.FromAnchors(pMin, pMax, tMax, tMin, 0.25+0.5*rng.Float64())
+			if !m.Monotone(50) {
+				m = perfmodel.FromAnchors(pMin, pMax, tMax, tMin, 0.5)
 			}
 		}
-		return !t.Failed()
+		jobs[i] = Job{ID: fmt.Sprintf("f%02d", i), Nodes: 1 + rng.Intn(64), Model: m}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	return jobs
+}
+
+// FuzzEvenSlowdown checks the even-slowdown kernel on random job sets and
+// budgets: every cap lies in its job's range, a feasible budget is never
+// exceeded (Σ caps summed in job order, exactly) nor left unspent beyond
+// 1e-6 relative where a slowdown above 1 could spend it, and the caps do
+// not depend on the job order beyond 1e-6 W. The order check skips budgets
+// within rounding of the minimum- or maximum-cap total: there the job
+// order's summation decides whether the budget saturates, and a flat
+// model's cap jumps between PMax (budget saturated) and PMin (slowdown
+// above 1 costs it nothing).
+func FuzzEvenSlowdown(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, frac := range []float64{-0.1, 0, 1e-15, 0.3, 0.5, 0.999999, 1, 1.1} {
+			f.Add(seed, frac)
+		}
 	}
+	f.Fuzz(func(t *testing.T, seed int64, frac float64) {
+		if math.IsNaN(frac) || math.IsInf(frac, 0) {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		jobs := fuzzJobs(rng)
+		min, max := totalRange(jobs)
+		budget := min + (max-min)*units.Power(frac)
+		out := make([]units.Power, len(jobs))
+		EvenSlowdown{}.AllocateInto(jobs, budget, out)
+		for i, j := range jobs {
+			if !(out[i] >= j.Model.PMin && out[i] <= j.Model.PMax) {
+				t.Fatalf("%s cap %v outside [%v, %v]", j.ID, out[i], j.Model.PMin, j.Model.PMax)
+			}
+		}
+		total := totalPowerOf(jobs, out)
+		if budget >= min && total > budget {
+			t.Fatalf("%d jobs granted %v > budget %v", len(jobs), total, budget)
+		}
+		// Just above s = 1 every job runs at PMax but the flat ones,
+		// which drop to PMin: no slowdown can spend more than that.
+		var spendable units.Power
+		for _, j := range jobs {
+			cap := j.Model.PMax
+			if j.Model.SlowdownAt(j.Model.PMin) <= 1 {
+				cap = j.Model.PMin
+			}
+			spendable += cap * units.Power(j.Nodes)
+		}
+		if want := units.Power(math.Min(budget.Watts(), spendable.Watts())); budget < max && total < want-1e-6*max {
+			t.Fatalf("%d jobs granted %v, want %v of budget %v", len(jobs), total, want, budget)
+		}
+		if edge := 1e-9 * max.Watts(); math.Abs((budget-min).Watts()) <= edge || math.Abs((budget-max).Watts()) <= edge {
+			return
+		}
+		perm := rng.Perm(len(jobs))
+		shuffled := make([]Job, len(jobs))
+		for i, k := range perm {
+			shuffled[i] = jobs[k]
+		}
+		outPerm := make([]units.Power, len(jobs))
+		EvenSlowdown{}.AllocateInto(shuffled, budget, outPerm)
+		for i, k := range perm {
+			if d := math.Abs((outPerm[i] - out[k]).Watts()); d > 1e-6 {
+				t.Fatalf("%s cap %v in job order, %v shuffled", jobs[k].ID, out[k], outPerm[i])
+			}
+		}
+	})
 }
 
 func TestMisclassificationShiftsSlowdowns(t *testing.T) {

@@ -74,9 +74,9 @@ func TestAllocateIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAllocateIntoSaturatedModelZeroAlloc covers the bisection's
+// TestAllocateIntoSaturatedModelZeroAlloc covers EvenSlowdown's
 // saturated branches (budget below the minimum and above the maximum),
-// which take different code paths than the interior bisection.
+// which take different code paths than the interior slowdown solve.
 func TestAllocateIntoSaturatedModelZeroAlloc(t *testing.T) {
 	jobs := perfJobs(8)
 	out := make([]units.Power, len(jobs))

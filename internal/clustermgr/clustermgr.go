@@ -500,8 +500,11 @@ func (m *Manager) handleConn(c *proto.Conn) {
 			m.mu.Lock()
 			j.lastPower = units.Power(u.PowerWatts)
 			if u.Trained {
+				// The budgeter inverts models in closed form, which
+				// holds only for monotone curves: the same test the
+				// job tier's modeler applies before sending a fit.
 				mdl := u.Model()
-				if mdl.Validate() == nil {
+				if mdl.Validate() == nil && mdl.Monotone(50) {
 					atMs := m.cfg.Clock.Now().UnixMilli()
 					j.online = mdl
 					j.trained = true

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/clock"
+	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/proto"
 	"repro/internal/units"
@@ -202,6 +203,45 @@ func TestFeedbackOverridesBelievedModel(t *testing.T) {
 		cap, ok := j.lastCap()
 		return ok && cap > 236 // beyond IS's PMax: must be using the BT curve
 	})
+}
+
+// TestNonMonotoneModelUpdateRejected: a trained model whose time rises
+// with power over part of its range (here U-shaped, fastest at 250 W)
+// passes Validate but breaks the budgeter's monotone-model precondition,
+// so the manager keeps the believed curve and the cap does not move.
+func TestNonMonotoneModelUpdateRejected(t *testing.T) {
+	v := clock.NewVirtual(t0)
+	cfg := testConfig(v, 1640)
+	cfg.UseFeedback = true
+	cfg.Metrics = obs.NewRegistry()
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt := attachFakeJob(t, m, "bt-1", "bt.D.81", 2)
+	sp := attachFakeJob(t, m, "sp-1", "sp.D.81", 2)
+	m.Tick()
+	before, _ := m.JobCap("bt-1")
+
+	u := perfmodel.Model{A: 1e-4, B: -0.05, C: 7.25, PMin: 140, PMax: 280}
+	if u.Validate() != nil || u.Monotone(50) {
+		t.Fatalf("test model %v: want valid and non-monotone", u)
+	}
+	trained := proto.ModelUpdateFor("bt-1", u, true)
+	if err := bt.conn.Send(proto.Envelope{Kind: proto.KindModelUpdate, ModelUpdate: &trained}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		return cfg.Metrics.Counter("anord_model_updates_total", "").Value() == 1
+	})
+	m.Tick()
+	if after, _ := m.JobCap("bt-1"); after != before {
+		t.Errorf("bt-1 cap moved from %v to %v on a non-monotone model", before, after)
+	}
+
+	bt.goodbye(t, "bt-1")
+	sp.goodbye(t, "sp-1")
+	waitFor(t, func() bool { return m.ActiveJobs() == 0 })
 }
 
 func TestFeedbackIgnoredWhenDisabled(t *testing.T) {

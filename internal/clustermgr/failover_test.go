@@ -271,7 +271,7 @@ func TestManagerJournalsToStore(t *testing.T) {
 	j := attachFakeJob(t, m, "bt-1", "bt.D.81", 2)
 	if err := j.conn.Send(proto.Envelope{Kind: proto.KindModelUpdate, ModelUpdate: &proto.ModelUpdate{
 		JobID: "bt-1", PowerWatts: 210, Trained: true,
-		A: 0.42, B: -1.37, C: 1.95, PMinWatts: 60, PMaxWatts: 120,
+		A: 1e-4, B: -0.03, C: 4.5, PMinWatts: 60, PMaxWatts: 120,
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestManagerJournalsToStore(t *testing.T) {
 	if sess == nil {
 		t.Fatal("session bt-1 not recovered")
 	}
-	if !sess.Trained || sess.Model.A != 0.42 || sess.Model.B != -1.37 {
+	if !sess.Trained || sess.Model.A != 1e-4 || sess.Model.B != -0.03 {
 		t.Fatalf("recovered model = %+v, want the trained coefficients", sess.Model)
 	}
 	if units.Power(sess.CapW) != wantCap {

@@ -158,52 +158,18 @@ func TwoLevelAllocate(racks []Rack, clusterBudgeter budget.Budgeter, total units
 // worst slowdown s?" queries) instead of fitted quadratics. It reproduces
 // the flat even-slowdown allocation exactly, at the cost of an
 // interactive query round between tiers — the other side of the §8
-// communication/locality trade-off.
+// communication/locality trade-off. The query rounds solve for the same
+// s as a flat EvenSlowdown over every rack's jobs, which is how it is
+// computed here.
 func TwoLevelAllocateExact(racks []Rack, total units.Power) (budget.Allocation, error) {
-	if len(racks) == 0 {
-		return budget.Allocation{}, nil
-	}
-	sMax := 1.0
-	var minSum, maxSum units.Power
+	var jobs []budget.Job
 	for _, r := range racks {
 		if len(r.Jobs) == 0 {
 			return nil, errors.New("hier: empty rack")
 		}
-		for _, j := range r.Jobs {
-			minSum += j.Model.PMin * units.Power(j.Nodes)
-			maxSum += j.Model.PMax * units.Power(j.Nodes)
-			if s := j.Model.SlowdownAt(j.Model.PMin); s > sMax {
-				sMax = s
-			}
-		}
+		jobs = append(jobs, r.Jobs...)
 	}
-	powerAt := func(s float64) units.Power {
-		var sum units.Power
-		for _, r := range racks {
-			for _, j := range r.Jobs {
-				sum += j.Model.PowerForSlowdown(s) * units.Power(j.Nodes)
-			}
-		}
-		return sum
-	}
-	var s float64
-	switch {
-	case total >= maxSum:
-		s = 1
-	case total <= minSum:
-		s = sMax
-	default:
-		s = stats.Bisect(func(s float64) float64 {
-			return powerAt(s).Watts() - total.Watts()
-		}, 1, sMax, 1e-6, 200)
-	}
-	out := budget.Allocation{}
-	for _, r := range racks {
-		for _, j := range r.Jobs {
-			out[j.ID] = j.Model.PowerForSlowdown(s)
-		}
-	}
-	return out, nil
+	return budget.EvenSlowdown{}.Allocate(jobs, total), nil
 }
 
 // MaxSlowdownError measures how far a hierarchical allocation's per-job

@@ -248,12 +248,15 @@ func (m *Modeler) retrainLocked() {
 		}
 	}
 	fit, r2, err := perfmodel.Fit(xs, ys, pMin, pMax)
-	if err != nil {
-		return
+	if err == nil && fit.A != 0 && !plausible(fit) {
+		// Noisy epoch times can bend the quadratic the wrong way where
+		// the least-squares line through the same samples still falls
+		// with power: steer by the line rather than by a stale model.
+		fit, r2, err = perfmodel.FitLine(xs, ys, pMin, pMax)
 	}
 	// Reject fits that are not physically plausible (time must not
 	// increase with power); keep the previous model instead.
-	if fit.Validate() != nil || !fit.Monotone(50) {
+	if err != nil || !plausible(fit) {
 		return
 	}
 	m.fitted = fit
@@ -261,6 +264,10 @@ func (m *Modeler) retrainLocked() {
 	m.r2 = r2
 	m.refits++
 }
+
+// plausible reports whether a fit is physically plausible: positive time
+// across its range, and time that does not increase with power.
+func plausible(m perfmodel.Model) bool { return m.Validate() == nil && m.Monotone(50) }
 
 // Model returns the job's current best model: the online fit when trained,
 // the default otherwise.

@@ -197,6 +197,37 @@ func TestRejectsNonMonotoneFit(t *testing.T) {
 	}
 }
 
+// TestNonMonotoneQuadraticFallsBackToLine: epoch times that fall with
+// power but turn up near the top of the range fit a quadratic that is
+// not monotone. The least-squares line through the same samples is, and
+// the modeler steers by it rather than keep its default.
+func TestNonMonotoneQuadraticFallsBackToLine(t *testing.T) {
+	def := workload.MustByName("is").Model()
+	// 16 stable spans: four at the first cap, three after each change.
+	m := newModeler(t, def, 16)
+	secs := map[units.Power]float64{140: 1.8, 180: 1.4, 220: 1.15, 260: 1.05, 280: 1.1}
+	now := t0
+	epoch := int64(0)
+	m.Observe(geopm.Sample{EpochCount: 0, PowerCap: 140, Time: now})
+	for _, c := range []units.Power{140, 180, 220, 260, 280} {
+		for i := 0; i < 4; i++ {
+			now = now.Add(time.Duration(secs[c] * float64(time.Second)))
+			epoch++
+			m.Observe(geopm.Sample{EpochCount: epoch, PowerCap: c, Time: now})
+		}
+	}
+	q, _, err := perfmodel.Fit(m.caps, m.times, def.PMin, 280)
+	if err != nil || q.Monotone(50) {
+		t.Fatalf("test data fit %v (err %v): want a non-monotone quadratic", q, err)
+	}
+	if !m.Trained() {
+		t.Fatal("modeler did not train")
+	}
+	if got := m.Model(); got.A != 0 || got.B >= 0 {
+		t.Errorf("model = %v, want a falling line", got)
+	}
+}
+
 func TestMaxSamplesEviction(t *testing.T) {
 	m, err := New(Config{Default: workload.MustByName("bt").Model(), RetrainThreshold: 1000, MaxSamples: 8})
 	if err != nil {

@@ -82,10 +82,13 @@ func (m Model) SlowdownAt(p units.Power) float64 {
 	return m.TimeAt(p) / min
 }
 
-// PowerFor returns the smallest power cap in [PMin, PMax] whose modeled
-// time does not exceed t: the inverse map P_j(T) from §4.4.3 used by the
-// even-slowdown budgeter. Times faster than MinTime saturate at PMax and
-// times slower than MaxTime saturate at PMin.
+// PowerFor returns the power cap in [PMin, PMax] whose modeled time is t:
+// the inverse map P_j(T) from §4.4.3 used by the even-slowdown budgeter.
+// Times faster than MinTime saturate at PMax and times slower than
+// MaxTime saturate at PMin. In between it solves A·P² + B·P + C = t in
+// closed form, with the cancellation-free quadratic formula; a monotone
+// model (see Monotone) has exactly one root in range, and the result is
+// clamped to it.
 func (m Model) PowerFor(t float64) units.Power {
 	if t <= m.MinTime() {
 		return m.PMax
@@ -93,12 +96,36 @@ func (m Model) PowerFor(t float64) units.Power {
 	if t >= m.MaxTime() {
 		return m.PMin
 	}
-	// T is monotone decreasing on [PMin, PMax] for well-formed models, so
-	// T(P) - t has a sign change across the range.
-	w := stats.Bisect(func(p float64) float64 {
-		return m.timeRaw(units.Power(p)) - t
-	}, m.PMin.Watts(), m.PMax.Watts(), 1e-6, 200)
+	c := m.C - t
+	var w float64 // q = 0 below leaves the double root at the vertex, 0 W
+	if m.A == 0 {
+		w = -c / m.B
+	} else {
+		d := m.B*m.B - 4*m.A*c
+		if d < 0 {
+			d = 0
+		}
+		if q := -0.5 * (m.B + math.Copysign(math.Sqrt(d), m.B)); q != 0 {
+			// Of the two roots take the one nearer the range: rounding
+			// can put the in-range root a hair outside it.
+			w = q / m.A
+			if r := c / q; m.outside(r) < m.outside(w) {
+				w = r
+			}
+		}
+	}
 	return units.Power(w).Clamp(m.PMin, m.PMax)
+}
+
+// outside returns how far w watts lies outside [PMin, PMax] (0 inside).
+func (m Model) outside(w float64) float64 {
+	if lo := m.PMin.Watts(); w < lo {
+		return lo - w
+	}
+	if hi := m.PMax.Watts(); w > hi {
+		return w - hi
+	}
+	return 0
 }
 
 // PowerForSlowdown returns the smallest cap achieving at most the given
@@ -158,12 +185,24 @@ func FromAnchors(pMin, pMax units.Power, tMax, tMin, midFrac float64) Model {
 
 // Fit fits a quadratic model to observed samples of (cap watts, seconds per
 // epoch) over the valid range [pMin, pMax]. It returns the model and the
-// fit's R² score. Fitting requires at least three samples at two distinct
-// caps; with fewer distinct caps it falls back to a lower-degree fit so the
-// modeler can begin steering from sparse feedback, and reports
-// stats.ErrSingular only when even a constant fit is impossible (no
-// samples).
+// fit's R² score. The fit's degree is at most the number of distinct caps
+// minus one, so samples at two caps give a line and samples at one cap a
+// constant: the modeler can begin steering from sparse feedback without
+// a quadratic bent to the noise in repeated samples. Caps closer than
+// (pMax − pMin)·1e-3 count as one. Fit reports stats.ErrSingular only
+// when even a constant fit is impossible (no samples).
 func Fit(caps, secsPerEpoch []float64, pMin, pMax units.Power) (Model, float64, error) {
+	return fit(caps, secsPerEpoch, pMin, pMax, 2)
+}
+
+// FitLine is Fit capped at degree one: the least-squares line (or, on
+// one distinct cap, constant) through the samples. The online modeler
+// falls back to it when noise bends the quadratic fit out of monotone.
+func FitLine(caps, secsPerEpoch []float64, pMin, pMax units.Power) (Model, float64, error) {
+	return fit(caps, secsPerEpoch, pMin, pMax, 1)
+}
+
+func fit(caps, secsPerEpoch []float64, pMin, pMax units.Power, maxDegree int) (Model, float64, error) {
 	if len(caps) != len(secsPerEpoch) {
 		return Model{}, 0, errors.New("perfmodel: mismatched sample lengths")
 	}
@@ -173,7 +212,8 @@ func Fit(caps, secsPerEpoch []float64, pMin, pMax units.Power) (Model, float64, 
 	if pMin <= 0 || pMax <= pMin {
 		return Model{}, 0, ErrBadRange
 	}
-	for degree := 2; degree >= 0; degree-- {
+	top := distinctCaps(caps, (pMax-pMin).Watts()*1e-3) - 1
+	for degree := min(maxDegree, top); degree >= 0; degree-- {
 		c, err := stats.PolyFit(caps, secsPerEpoch, degree)
 		if err != nil {
 			continue
@@ -190,6 +230,29 @@ func Fit(caps, secsPerEpoch []float64, pMin, pMax units.Power) (Model, float64, 
 		return m, stats.RSquared(c, caps, secsPerEpoch), nil
 	}
 	return Model{}, 0, stats.ErrSingular
+}
+
+// distinctCaps counts the caps that lie more than sep from every cap
+// counted before them, stopping at three: all a quadratic fit needs.
+func distinctCaps(caps []float64, sep float64) int {
+	var seen [3]float64
+	n := 0
+	for _, c := range caps {
+		dup := false
+		for _, s := range seen[:n] {
+			if math.Abs(c-s) <= sep {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			seen[n] = c
+			if n++; n == len(seen) {
+				break
+			}
+		}
+	}
+	return n
 }
 
 // String formats the model compactly for reports and logs.

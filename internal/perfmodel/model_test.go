@@ -254,3 +254,116 @@ func TestRoundTripFitAnchorsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// bisectPowerFor is a reference inverse for the closed-form PowerFor: it
+// bisects T(P) = t on [PMin, PMax] until the bracket stops shrinking.
+func bisectPowerFor(m Model, t float64) float64 {
+	lo, hi := m.PMin.Watts(), m.PMax.Watts()
+	for {
+		mid := lo + (hi-lo)/2
+		if mid <= lo || mid >= hi {
+			return mid
+		}
+		if m.timeRaw(units.Power(mid)) > t {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+}
+
+// TestPowerForMatchesBisection holds the closed-form inverse against a
+// bisection run to machine precision: random monotone models, convex and
+// concave, a linear model (A = 0), a near-zero discriminant (a convex
+// model whose vertex sits at PMax, queried just above its minimum time)
+// and both saturation ends.
+func TestPowerForMatchesBisection(t *testing.T) {
+	type query struct {
+		m Model
+		t float64
+	}
+	var qs []query
+	r := stats.NewRNG(11)
+	for len(qs) < 2000 {
+		pMin := units.Power(r.Uniform(40, 200))
+		pMax := pMin + units.Power(r.Uniform(20, 250))
+		tMin := r.Uniform(0.1, 10)
+		tMax := tMin * r.Uniform(1.01, 3)
+		m := FromAnchors(pMin, pMax, tMax, tMin, r.Uniform(0.3, 0.7))
+		if !m.Monotone(50) {
+			continue
+		}
+		qs = append(qs, query{m, r.Uniform(tMin, tMax)})
+	}
+	linear := Model{B: -0.005, C: 2.4, PMin: 140, PMax: 280}
+	for _, tm := range []float64{1.1, 1.3, 1.5, 1.69} {
+		qs = append(qs, query{linear, tm})
+	}
+	// A = 1e-4 puts the vertex of T at 280 W = PMax: T(280) = 1.
+	flat := Model{A: 1e-4, B: -0.056, C: 8.84, PMin: 140, PMax: 280}
+	for _, d := range []float64{1e-9, 1e-7, 1e-5, 1e-3} {
+		qs = append(qs, query{flat, flat.MinTime() + d})
+	}
+	for _, q := range qs {
+		got, want := q.m.PowerFor(q.t).Watts(), bisectPowerFor(q.m, q.t)
+		if math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%v: PowerFor(%v) = %.12f, bisection %.12f", q.m, q.t, got, want)
+		}
+	}
+	for _, m := range []Model{testModel(), linear, flat} {
+		if got := m.PowerFor(m.MinTime()); got != m.PMax {
+			t.Errorf("%v: PowerFor(MinTime) = %v, want PMax", m, got)
+		}
+		if got := m.PowerFor(m.MaxTime()); got != m.PMin {
+			t.Errorf("%v: PowerFor(MaxTime) = %v, want PMin", m, got)
+		}
+	}
+}
+
+// FuzzPowerFor feeds arbitrary coefficients, ranges and times: for any
+// valid monotone model the inverse is a cap in [PMin, PMax], never NaN.
+func FuzzPowerFor(f *testing.F) {
+	f.Add(2.449e-5, -0.016, 3.56, 140.0, 280.0, 1.5)
+	f.Add(0.0, -0.005, 2.4, 140.0, 280.0, 1.3)
+	f.Add(1e-4, -0.056, 8.84, 140.0, 280.0, 1.0000001)
+	f.Add(-1e-5, -0.001, 2.0, 60.0, 120.0, 1.8)
+	f.Fuzz(func(t *testing.T, a, b, c, pMin, pMax, tm float64) {
+		for _, x := range []float64{a, b, c, pMin, pMax, tm} {
+			if math.IsNaN(x) || math.Abs(x) > 1e12 {
+				t.Skip()
+			}
+		}
+		m := Model{A: a, B: b, C: c, PMin: units.Power(pMin), PMax: units.Power(pMax)}
+		if m.Validate() != nil || !m.Monotone(50) {
+			t.Skip()
+		}
+		got := m.PowerFor(tm)
+		if math.IsNaN(got.Watts()) || got < m.PMin || got > m.PMax {
+			t.Fatalf("%v: PowerFor(%v) = %v", m, tm, got)
+		}
+	})
+}
+
+// TestFitRepeatedInexactCapIsConstant: samples at one cap that is not
+// exactly representable are one distinct cap, so the fit is a constant,
+// not a quadratic bent to the rounding noise of the normal equations.
+func TestFitRepeatedInexactCapIsConstant(t *testing.T) {
+	var caps, times []float64
+	for i := 0; i < 10; i++ {
+		caps = append(caps, 197.7888612)
+		times = append(times, 1.2+0.01*float64(i%3))
+	}
+	m, _, err := Fit(caps, times, 140, 280)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.A != 0 || m.B != 0 {
+		t.Errorf("fit on one cap = %v, want A = B = 0", m)
+	}
+	// Two caps, one jittered within (pMax − pMin)·1e-3: a line.
+	caps = append(caps, 240, 240.1)
+	times = append(times, 1.0, 1.0)
+	if m, _, _ := Fit(caps, times, 140, 280); m.A != 0 || m.B == 0 {
+		t.Errorf("fit on two caps = %v, want a line", m)
+	}
+}

@@ -29,7 +29,7 @@ func steadyType() workload.Type {
 
 // steadyConfig fills the cluster at t=0 with never-finishing jobs. The
 // budget lands strictly between the jobs' total minimum and maximum power
-// so the budgeter path exercises its full bisection every step.
+// so the budgeter path exercises its full slowdown solve every step.
 func steadyConfig(horizon time.Duration, budgeter bool) Config {
 	typ := steadyType()
 	const jobCount = 16

@@ -132,40 +132,3 @@ func RSquared(c []float64, xs, ys []float64) float64 {
 	}
 	return 1 - ssRes/ssTot
 }
-
-// Bisect finds a root of f in [lo, hi] by bisection, assuming f(lo) and
-// f(hi) bracket a sign change. It runs until the interval is narrower than
-// tol or maxIter iterations have elapsed, returning the midpoint of the
-// final bracket. If f(lo) and f(hi) have the same sign, it returns the
-// endpoint with the smaller |f|, which lets callers use Bisect to "get as
-// close as possible" against saturated monotone functions — the budgeter
-// relies on that behaviour when a power budget is outside the achievable
-// range.
-func Bisect(f func(float64) float64, lo, hi, tol float64, maxIter int) float64 {
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo
-	}
-	if fhi == 0 {
-		return hi
-	}
-	if (flo > 0) == (fhi > 0) {
-		if math.Abs(flo) <= math.Abs(fhi) {
-			return lo
-		}
-		return hi
-	}
-	for i := 0; i < maxIter && hi-lo > tol; i++ {
-		mid := lo + (hi-lo)/2
-		fm := f(mid)
-		if fm == 0 {
-			return mid
-		}
-		if (fm > 0) == (flo > 0) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-	}
-	return lo + (hi-lo)/2
-}

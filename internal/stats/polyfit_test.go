@@ -127,32 +127,3 @@ func TestPolyFitQuadraticRecoveryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBisectFindsRoot(t *testing.T) {
-	root := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-10, 200)
-	if math.Abs(root-math.Sqrt2) > 1e-9 {
-		t.Errorf("Bisect = %v, want √2", root)
-	}
-}
-
-func TestBisectEndpointRoots(t *testing.T) {
-	f := func(x float64) float64 { return x - 1 }
-	if got := Bisect(f, 1, 5, 1e-9, 100); got != 1 {
-		t.Errorf("Bisect with root at lo = %v", got)
-	}
-	if got := Bisect(f, -3, 1, 1e-9, 100); got != 1 {
-		t.Errorf("Bisect with root at hi = %v", got)
-	}
-}
-
-func TestBisectSaturated(t *testing.T) {
-	// No sign change: returns the endpoint with the smaller |f|.
-	f := func(x float64) float64 { return x + 10 } // positive on [0, 1]
-	if got := Bisect(f, 0, 1, 1e-9, 100); got != 0 {
-		t.Errorf("saturated Bisect = %v, want 0", got)
-	}
-	g := func(x float64) float64 { return x - 10 } // negative on [0, 1]
-	if got := Bisect(g, 0, 1, 1e-9, 100); got != 1 {
-		t.Errorf("saturated Bisect = %v, want 1", got)
-	}
-}
