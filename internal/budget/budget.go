@@ -114,7 +114,9 @@ func (b EvenPower) Allocate(jobs []Job, budget units.Power) Allocation {
 	return allocateViaInto(b, jobs, budget)
 }
 
-// AllocateInto implements Budgeter without allocating.
+// AllocateInto implements Budgeter without allocating. When the job-order
+// sum of the caps exceeds a feasible budget by its rounding, γ is
+// lowered until it fits (fitScale).
 func (EvenPower) AllocateInto(jobs []Job, budget units.Power, out []units.Power) {
 	var minSum, rangeSum float64
 	for _, j := range jobs {
@@ -126,10 +128,51 @@ func (EvenPower) AllocateInto(jobs []Job, budget units.Power, out []units.Power)
 		gamma = (budget.Watts() - minSum) / rangeSum
 	}
 	gamma = math.Max(0, math.Min(1, gamma))
-	for i, j := range jobs {
-		cap := units.Power(gamma)*(j.Model.PMax-j.Model.PMin) + j.Model.PMin
-		out[i] = cap.Clamp(j.Model.PMin, j.Model.PMax)
+	caps := func(gamma float64) units.Power {
+		for i, j := range jobs {
+			cap := units.Power(gamma)*(j.Model.PMax-j.Model.PMin) + j.Model.PMin
+			out[i] = cap.Clamp(j.Model.PMin, j.Model.PMax)
+		}
+		return totalPowerOf(jobs, out)
 	}
+	// γ > 0 means budget > minSum, the total at γ = 0.
+	if caps(gamma) > budget && gamma > 0 {
+		fitScale(gamma, budget, caps)
+	}
+}
+
+// fitScale lowers a policy's common scale x (EvenPower's γ, Uniform's
+// per-node cap) to the largest value at or below it whose caps fit the
+// budget. caps writes the caps at a scale into out and returns their
+// job-order total, which must not decrease as the scale grows. On entry
+// out holds the caps at x, which exceed the budget, and the caps at 0 fit
+// it; on return out holds the caps at the largest scale that fits.
+//
+// The first step is one ulp, which is all the rounding of the sum
+// usually takes. Strides then double, so the search ends within about a
+// hundred passes even where one ulp of x moves no cap, and a bisection
+// between the last two scales tried finds the largest one that fits.
+func fitScale(x float64, budget units.Power, caps func(float64) units.Power) {
+	hi, fit := x, 0.0 // caps(hi) > budget ≥ caps(fit)
+	for stride := x - math.Nextafter(x, 0); stride < x; stride *= 2 {
+		if caps(x-stride) <= budget {
+			fit = x - stride
+			break
+		}
+		hi = x - stride
+	}
+	for {
+		mid := fit + (hi-fit)/2
+		if mid <= fit || mid >= hi {
+			break
+		}
+		if caps(mid) <= budget {
+			fit = mid
+		} else {
+			hi = mid
+		}
+	}
+	caps(fit)
 }
 
 // EvenSlowdown is the performance-aware balancer (§4.4.3): a single
@@ -258,7 +301,9 @@ func slowdownCaps(jobs []Job, s, sMax float64, out []units.Power) (total, slope 
 
 // Uniform caps every node at budget divided by total node count,
 // regardless of job models — the cluster-wide uniform distribution used as
-// the baseline in Fig. 10 and by AQA's node capping (§4.4.2).
+// the baseline in Fig. 10 and by AQA's node capping (§4.4.2). Each cap is
+// clamped to its job's range; where that would overrun a feasible budget,
+// the common per-node level is lowered until Σ caps fits.
 type Uniform struct{}
 
 // Name implements Budgeter.
@@ -276,11 +321,16 @@ func (b Uniform) Allocate(jobs []Job, budget units.Power) Allocation {
 	return allocateViaInto(b, jobs, budget)
 }
 
-// AllocateInto implements Budgeter without allocating.
+// AllocateInto implements Budgeter without allocating. When the
+// job-order sum of the caps exceeds a feasible budget, by rounding or
+// because jobs whose minimum cap is above the level are held at it, the
+// level is lowered until the sum fits (fitScale).
 func (Uniform) AllocateInto(jobs []Job, budget units.Power, out []units.Power) {
 	nodes := 0
+	var minSum units.Power
 	for _, j := range jobs {
 		nodes += j.Nodes
+		minSum += j.minPower()
 	}
 	if nodes == 0 {
 		for i, j := range jobs {
@@ -288,9 +338,15 @@ func (Uniform) AllocateInto(jobs []Job, budget units.Power, out []units.Power) {
 		}
 		return
 	}
-	per := budget / units.Power(nodes)
-	for i, j := range jobs {
-		out[i] = per.Clamp(j.Model.PMin, j.Model.PMax)
+	caps := func(per float64) units.Power {
+		for i, j := range jobs {
+			out[i] = units.Power(per).Clamp(j.Model.PMin, j.Model.PMax)
+		}
+		return totalPowerOf(jobs, out)
+	}
+	per := (budget / units.Power(nodes)).Watts()
+	if caps(per) > budget && budget >= minSum {
+		fitScale(per, budget, caps)
 	}
 }
 

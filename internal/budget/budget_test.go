@@ -245,10 +245,8 @@ func largeJobs(rng *rand.Rand) []Job {
 // TestAllocationNeverExceedsBudgetProperty draws a random job set and a
 // feasible budget (at least the minimum-cap total): every policy keeps
 // Σ caps within the budget, gives no job a lower cap under a larger
-// budget, and selects the same caps whatever the job order. EvenSlowdown
-// stops its solve on the feasible side, so its bound is exact; EvenPower
-// and Uniform compute their caps in one pass and may exceed the budget by
-// the rounding of the sum, which the bound allows at 1e-12 relative.
+// budget, and selects the same caps whatever the job order. The bound is
+// exact, for the sum in job order.
 func TestAllocationNeverExceedsBudgetProperty(t *testing.T) {
 	const tol = 1e-6 // watts
 	for _, tc := range []struct {
@@ -270,11 +268,7 @@ func TestAllocationNeverExceedsBudgetProperty(t *testing.T) {
 				rng.Shuffle(len(shuffled), func(i, k int) { shuffled[i], shuffled[k] = shuffled[k], shuffled[i] })
 				for _, b := range budgeters {
 					alloc := b.Allocate(jobs, budget)
-					slack := budget * 1e-12
-					if b.Name() == (EvenSlowdown{}).Name() {
-						slack = 0
-					}
-					if total := alloc.TotalPower(jobs); total > budget+slack {
+					if total := alloc.TotalPower(jobs); total > budget {
 						t.Errorf("%s: %d jobs granted %v > budget %v", b.Name(), len(jobs), total, budget)
 					}
 					more := b.Allocate(jobs, larger)
@@ -319,40 +313,71 @@ func fuzzJobs(rng *rand.Rand) []Job {
 	return jobs
 }
 
-// FuzzEvenSlowdown checks the even-slowdown kernel on random job sets and
-// budgets: every cap lies in its job's range, a feasible budget is never
-// exceeded (Σ caps summed in job order, exactly) nor left unspent beyond
-// 1e-6 relative where a slowdown above 1 could spend it, and the caps do
-// not depend on the job order beyond 1e-6 W. The order check skips budgets
-// within rounding of the minimum- or maximum-cap total: there the job
-// order's summation decides whether the budget saturates, and a flat
-// model's cap jumps between PMax (budget saturated) and PMin (slowdown
-// above 1 costs it nothing).
-func FuzzEvenSlowdown(f *testing.F) {
+// addFuzzSeeds seeds a budgeter fuzz target with four job sets, each at
+// budgets below, at, between and above the minimum- and maximum-cap
+// totals.
+func addFuzzSeeds(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, frac := range []float64{-0.1, 0, 1e-15, 0.3, 0.5, 0.999999, 1, 1.1} {
 			f.Add(seed, frac)
 		}
 	}
+}
+
+// fuzzAllocate runs b on the fuzzJobs set seed draws, at the budget frac
+// of the way from its minimum- to its maximum-cap total, and checks what
+// every policy owes: each cap lies in its job's range, a feasible budget
+// is never exceeded (Σ caps summed in job order, exactly), and the caps do
+// not depend on the job order beyond 1e-6 W. The order check skips budgets
+// within rounding of the minimum- or maximum-cap total: there the job
+// order's summation decides whether the budget saturates, and a flat
+// model's even-slowdown cap jumps between PMax (budget saturated) and PMin
+// (slowdown above 1 costs it nothing). It returns the job set, budget,
+// caps, their total and the maximum-cap total for the policy's own checks.
+func fuzzAllocate(t *testing.T, b Budgeter, seed int64, frac float64) (jobs []Job, budget units.Power, out []units.Power, total, max units.Power) {
+	if math.IsNaN(frac) || math.IsInf(frac, 0) {
+		t.Skip()
+	}
+	rng := rand.New(rand.NewSource(seed))
+	jobs = fuzzJobs(rng)
+	min, max := totalRange(jobs)
+	budget = min + (max-min)*units.Power(frac)
+	out = make([]units.Power, len(jobs))
+	b.AllocateInto(jobs, budget, out)
+	for i, j := range jobs {
+		if !(out[i] >= j.Model.PMin && out[i] <= j.Model.PMax) {
+			t.Fatalf("%s: %s cap %v outside [%v, %v]", b.Name(), j.ID, out[i], j.Model.PMin, j.Model.PMax)
+		}
+	}
+	total = totalPowerOf(jobs, out)
+	if budget >= min && total > budget {
+		t.Fatalf("%s: %d jobs granted %v > budget %v", b.Name(), len(jobs), total, budget)
+	}
+	if edge := 1e-9 * max.Watts(); math.Abs((budget-min).Watts()) <= edge || math.Abs((budget-max).Watts()) <= edge {
+		return jobs, budget, out, total, max
+	}
+	perm := rng.Perm(len(jobs))
+	shuffled := make([]Job, len(jobs))
+	for i, k := range perm {
+		shuffled[i] = jobs[k]
+	}
+	outPerm := make([]units.Power, len(jobs))
+	b.AllocateInto(shuffled, budget, outPerm)
+	for i, k := range perm {
+		if d := math.Abs((outPerm[i] - out[k]).Watts()); d > 1e-6 {
+			t.Fatalf("%s: %s cap %v in job order, %v shuffled", b.Name(), jobs[k].ID, out[k], outPerm[i])
+		}
+	}
+	return jobs, budget, out, total, max
+}
+
+// FuzzEvenSlowdown checks the even-slowdown kernel on random job sets and
+// budgets: fuzzAllocate's checks, and no feasible budget left unspent
+// beyond 1e-6 relative where a slowdown above 1 could spend it.
+func FuzzEvenSlowdown(f *testing.F) {
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, seed int64, frac float64) {
-		if math.IsNaN(frac) || math.IsInf(frac, 0) {
-			t.Skip()
-		}
-		rng := rand.New(rand.NewSource(seed))
-		jobs := fuzzJobs(rng)
-		min, max := totalRange(jobs)
-		budget := min + (max-min)*units.Power(frac)
-		out := make([]units.Power, len(jobs))
-		EvenSlowdown{}.AllocateInto(jobs, budget, out)
-		for i, j := range jobs {
-			if !(out[i] >= j.Model.PMin && out[i] <= j.Model.PMax) {
-				t.Fatalf("%s cap %v outside [%v, %v]", j.ID, out[i], j.Model.PMin, j.Model.PMax)
-			}
-		}
-		total := totalPowerOf(jobs, out)
-		if budget >= min && total > budget {
-			t.Fatalf("%d jobs granted %v > budget %v", len(jobs), total, budget)
-		}
+		jobs, budget, _, total, max := fuzzAllocate(t, EvenSlowdown{}, seed, frac)
 		// Just above s = 1 every job runs at PMax but the flat ones,
 		// which drop to PMin: no slowdown can spend more than that.
 		var spendable units.Power
@@ -366,20 +391,54 @@ func FuzzEvenSlowdown(f *testing.F) {
 		if want := units.Power(math.Min(budget.Watts(), spendable.Watts())); budget < max && total < want-1e-6*max {
 			t.Fatalf("%d jobs granted %v, want %v of budget %v", len(jobs), total, want, budget)
 		}
-		if edge := 1e-9 * max.Watts(); math.Abs((budget-min).Watts()) <= edge || math.Abs((budget-max).Watts()) <= edge {
-			return
+	})
+}
+
+// FuzzEvenPower checks the even-power balancer: fuzzAllocate's checks, and
+// a budget up to the maximum-cap total spent to 1e-9 relative, since one
+// γ moves every job with a power range.
+func FuzzEvenPower(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, seed int64, frac float64) {
+		jobs, budget, _, total, max := fuzzAllocate(t, EvenPower{}, seed, frac)
+		if want := units.Power(math.Min(budget.Watts(), max.Watts())); total < want-1e-9*max {
+			t.Fatalf("%d jobs granted %v, want %v of budget %v", len(jobs), total, want, budget)
 		}
-		perm := rng.Perm(len(jobs))
-		shuffled := make([]Job, len(jobs))
-		for i, k := range perm {
-			shuffled[i] = jobs[k]
+	})
+}
+
+// FuzzUniform checks the uniform policy: fuzzAllocate's checks, and that
+// the caps are one per-node level p clamped to each job's range, with p
+// at most budget/nodes. When no such p reaches budget/nodes, the caps
+// must spend the budget to 1e-9 relative: p was lowered only as far as
+// the sum needed.
+func FuzzUniform(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, seed int64, frac float64) {
+		jobs, budget, out, total, maxSum := fuzzAllocate(t, Uniform{}, seed, frac)
+		nodes := 0
+		for _, j := range jobs {
+			nodes += j.Nodes
 		}
-		outPerm := make([]units.Power, len(jobs))
-		EvenSlowdown{}.AllocateInto(shuffled, budget, outPerm)
-		for i, k := range perm {
-			if d := math.Abs((outPerm[i] - out[k]).Watts()); d > 1e-6 {
-				t.Fatalf("%s cap %v in job order, %v shuffled", jobs[k].ID, out[k], outPerm[i])
+		// [lo, hi] are the levels p whose clamps give every cap.
+		share := budget / units.Power(nodes)
+		lo, hi := units.Power(math.Inf(-1)), share
+		for i, j := range jobs {
+			switch c, m := out[i], j.Model; {
+			case m.PMin == m.PMax:
+			case c == m.PMin:
+				hi = min(hi, c)
+			case c == m.PMax:
+				lo = max(lo, c)
+			default:
+				lo, hi = max(lo, c), min(hi, c)
 			}
+		}
+		if lo > hi {
+			t.Fatalf("caps %v are not one per-node level at or below the even share %v", out, share)
+		}
+		if hi < share && total < budget-1e-9*maxSum {
+			t.Fatalf("level lowered from %v to at most %v leaves %v of budget %v", share, hi, total, budget)
 		}
 	})
 }

@@ -489,15 +489,13 @@ func (m *Manager) handleConn(c *proto.Conn) {
 		if err != nil {
 			return
 		}
-		// Any inbound traffic proves the endpoint alive.
+		// Any inbound traffic proves the endpoint alive; a model update's
+		// state changes share the critical section.
+		var journal *durable.Record
+		now := m.cfg.Clock.Now()
 		m.mu.Lock()
-		j.lastSeen = m.cfg.Clock.Now()
-		m.mu.Unlock()
-		switch env.Kind {
-		case proto.KindModelUpdate:
-			u := env.ModelUpdate
-			var journal *durable.Record
-			m.mu.Lock()
+		j.lastSeen = now
+		if u := env.ModelUpdate; env.Kind == proto.KindModelUpdate {
 			j.lastPower = units.Power(u.PowerWatts)
 			if u.Trained {
 				// The budgeter inverts models in closed form, which
@@ -505,10 +503,10 @@ func (m *Manager) handleConn(c *proto.Conn) {
 				// job tier's modeler applies before sending a fit.
 				mdl := u.Model()
 				if mdl.Validate() == nil && mdl.Monotone(50) {
-					atMs := m.cfg.Clock.Now().UnixMilli()
+					atMs := now.UnixMilli()
 					j.online = mdl
 					j.trained = true
-					j.lastUpdate = m.cfg.Clock.Now()
+					j.lastUpdate = now
 					if m.durableOn() {
 						ms := durable.ModelStateOf(mdl, atMs)
 						if !j.walModelSet || ms != j.walModel {
@@ -523,7 +521,11 @@ func (m *Manager) handleConn(c *proto.Conn) {
 					}
 				}
 			}
-			m.mu.Unlock()
+		}
+		m.mu.Unlock()
+		switch env.Kind {
+		case proto.KindModelUpdate:
+			u := env.ModelUpdate
 			if journal != nil {
 				m.append(*journal)
 			}

@@ -4,6 +4,17 @@
 // head node and a job-tier power-modeling process per job; the same
 // framing works over net.Pipe for in-process experiments.
 //
+// A frame is a 4-byte big-endian body length, then the envelope as
+// compact JSON. Send encodes both into one reused buffer, without
+// reflection, and hands the transport one Write per frame; its bytes are
+// exactly json.Marshal's, so the wire is the same as when Send called
+// json.Marshal, and peers on either side interoperate unchanged. Recv
+// reads the body into a reused buffer and parses the canonical form
+// json.Marshal writes (exact keys, no whitespace, strings without
+// escapes) directly. Any other body, such as one with unknown fields,
+// escaped strings or whitespace, goes to json.Unmarshal as before, so
+// what Recv accepts and returns does not depend on which path decoded it.
+//
 // The message flow is:
 //
 //	job  → cluster: Hello        (once, on connect: identity, size, claimed type)
@@ -216,6 +227,10 @@ func (e Envelope) Validate() error {
 // can never make Recv allocate more than this.
 const MaxFrame = 1 << 20
 
+// maxKeptBuf is the largest frame buffer a Conn keeps for its next frame,
+// so one large frame cannot pin memory for the life of a session.
+const maxKeptBuf = 64 << 10
+
 // ErrFrameTooLarge marks a frame whose length prefix (or encoded body)
 // exceeds MaxFrame. Receivers treat it as a fatal stream error: after a
 // corrupt prefix there is no way to resynchronize the framing.
@@ -237,6 +252,12 @@ type Conn struct {
 	rmu sync.Mutex
 	rw  io.ReadWriteCloser
 	br  *bufio.Reader
+	// wbuf holds the frame Send encodes, length prefix first; guarded by
+	// wmu. rhdr and rbuf receive a frame's prefix and body; guarded by
+	// rmu. Neither buffer is kept above maxKeptBuf.
+	wbuf []byte
+	rhdr [4]byte
+	rbuf []byte
 
 	// d is the transport's deadline capability, nil when absent.
 	d deadliner
@@ -268,32 +289,40 @@ func (c *Conn) SetTimeouts(read, write time.Duration) {
 	c.writeTimeout.Store(int64(write))
 }
 
-// Send validates, encodes, and writes one envelope.
+// Send validates and encodes one envelope, then writes its frame, length
+// prefix and body, in one Write.
 func (c *Conn) Send(e Envelope) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	body, err := json.Marshal(e)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	buf, err := appendEnvelope(append(c.wbuf[:0], 0, 0, 0, 0), &e)
+	c.wbuf = keep(buf)
 	if err != nil {
 		return err
 	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("%w (%d > %d bytes)", ErrFrameTooLarge, len(body), MaxFrame)
+	n := len(buf) - 4
+	if n > MaxFrame {
+		return fmt.Errorf("%w (%d > %d bytes)", ErrFrameTooLarge, n, MaxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+	binary.BigEndian.PutUint32(buf, uint32(n))
 	if wt := time.Duration(c.writeTimeout.Load()); wt > 0 && c.d != nil {
 		if err := c.d.SetWriteDeadline(time.Now().Add(wt)); err != nil {
 			return err
 		}
 	}
-	if _, err := c.rw.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = c.rw.Write(body)
+	_, err = c.rw.Write(buf)
 	return err
+}
+
+// keep returns buf emptied for reuse, or nil when it is larger than
+// maxKeptBuf.
+func keep(buf []byte) []byte {
+	if cap(buf) > maxKeptBuf {
+		return nil
+	}
+	return buf[:0]
 }
 
 // Recv blocks for the next envelope. It returns io.EOF (or the transport's
@@ -309,26 +338,41 @@ func (c *Conn) Recv() (Envelope, error) {
 			return Envelope{}, err
 		}
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
 		return Envelope{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.rhdr[:])
 	if n > MaxFrame {
 		return Envelope{}, fmt.Errorf("%w (prefix claims %d > %d bytes)", ErrFrameTooLarge, n, MaxFrame)
 	}
-	body := make([]byte, n)
+	if uint32(cap(c.rbuf)) < n {
+		c.rbuf = make([]byte, n)
+	}
+	body := c.rbuf[:n]
+	c.rbuf = keep(body)
 	if _, err := io.ReadFull(c.br, body); err != nil {
 		return Envelope{}, err
 	}
-	var e Envelope
-	if err := json.Unmarshal(body, &e); err != nil {
-		return Envelope{}, err
+	e, ok := decodeEnvelope(body)
+	if !ok {
+		var err error
+		if e, err = unmarshalEnvelope(body); err != nil {
+			return Envelope{}, err
+		}
 	}
 	if err := e.Validate(); err != nil && !errors.Is(err, ErrUnknownKind) {
 		return Envelope{}, err
 	}
 	return e, nil
+}
+
+// unmarshalEnvelope decodes a body the canonical decoder declined. It is
+// a function of its own so that only this path pays for the heap
+// envelope json.Unmarshal needs.
+func unmarshalEnvelope(body []byte) (Envelope, error) {
+	var e Envelope
+	err := json.Unmarshal(body, &e)
+	return e, err
 }
 
 // Close closes the underlying stream, unblocking any pending Recv.
