@@ -18,6 +18,10 @@
 // -slo RULES evaluates declarative SLO rules over the telemetry rollups,
 // serves the verdicts as /slo, and emits alert events on transitions.
 //
+// With -trace it appends one CSV row (time, target, measured power) as
+// each rebudget tick ends, so a killed anord leaves a whole file; anord
+// itself keeps no series.
+//
 // Usage:
 //
 //	anord -listen :9700 -nodes 16 -targets targets.jsonl \
@@ -62,9 +66,8 @@ func main() {
 	modelTTL := flag.Duration("model-ttl", 30*time.Second, "distrust trained models older than this, falling back to precharacterized curves; 0 disables")
 	writeTimeout := flag.Duration("write-timeout", 5*time.Second, "per-endpoint wire-send deadline; a timed-out send drops the connection; 0 disables")
 	defaultPolicy := flag.String("default", "least", "model for unknown job types: least or most sensitive")
-	reserve := flag.Float64("reserve", 1100, "demand-response reserve in watts (for error reporting)")
-	traceOut := flag.String("trace", "", "write the tracking series to this CSV file (flushed periodically and on shutdown)")
-	traceFlush := flag.Duration("trace-flush", 15*time.Second, "how often to flush the -trace CSV (crash safety)")
+	reserve := flag.Float64("reserve", 1100, "demand-response reserve in watts: normalizes the tracking-error histogram and the shutdown summary")
+	traceOut := flag.String("trace", "", "stream the tracking series to this CSV file: one time_s,target_w,measured_w row appended per rebudget tick")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /healthz, and pprof on this address (e.g. :9790); empty disables")
 	eventsOut := flag.String("events", "", "stream structured JSONL events to this file; empty disables")
 	telemetryOn := flag.Bool("telemetry", false, "retain multi-resolution rollup series in memory and serve /timeseries on the -metrics address")
@@ -90,6 +93,9 @@ func main() {
 	if *targetsPath == "" {
 		fatalf("-targets is required")
 	}
+	if *reserve <= 0 {
+		fatalf("-reserve must be positive")
+	}
 	budgeter, err := budgeterByName(*budgeterName)
 	if err != nil {
 		fatalf("%v", err)
@@ -99,11 +105,9 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	// Observability sinks: nil (no-op) unless the operator asked for them.
-	var registry *obs.Registry
-	if *metricsAddr != "" {
-		registry = obs.NewRegistry()
-	}
+	// The registry always exists: its tracking-error histogram feeds the
+	// shutdown summary. The other sinks are nil (no-op) unless asked for.
+	registry := obs.NewRegistry()
 	var tracer *obs.Tracer
 	if *eventsOut != "" {
 		f, err := os.Create(*eventsOut)
@@ -177,6 +181,26 @@ func main() {
 			time.Duration(rec.Duration), rec.TornTail, rec.Corrupt)
 	}
 
+	var track func(trace.Point)
+	if *traceOut != "" {
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			fatalf("creating tracking CSV: %v", err)
+		}
+		defer f.Close()
+		csvw, err := trace.NewCSVWriter(f)
+		if err != nil {
+			fatalf("writing tracking CSV: %v", err)
+		}
+		warned := false
+		track = func(p trace.Point) {
+			if err := csvw.Write(p); err != nil && !warned {
+				warned = true
+				logger.Warnf("writing %s: %v", *traceOut, err)
+			}
+		}
+	}
+
 	typeModels := map[string]perfmodel.Model{}
 	for _, t := range workload.Catalog() {
 		typeModels[t.Name] = t.RelativeModel()
@@ -238,6 +262,7 @@ func main() {
 		Store:            dstore,
 		Recovered:        recovered,
 		Reserve:          units.Power(*reserve),
+		Track:            track,
 		Log:              logger,
 	})
 	if err != nil {
@@ -281,33 +306,23 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go mgr.Run(ctx)
 	if sloEngine != nil {
 		// Evaluate at the rebudget cadence: each verdict then reflects
 		// the telemetry the loop just produced.
 		go sloEngine.Run(ctx, *period)
 	}
 
-	// Flush the tracking series (and any event stream) periodically so a
-	// crash mid-experiment loses at most one flush interval, not the
-	// whole series. SIGINT/SIGTERM still get the final complete write
-	// below.
-	if *traceOut != "" || tracer != nil {
+	// Flush the event stream every 15 s so a crash loses at most that
+	// much of it; shutdown flushes the rest.
+	if tracer != nil {
 		go func() {
-			interval := *traceFlush
-			if interval <= 0 {
-				interval = 15 * time.Second
-			}
+			tick := time.NewTicker(15 * time.Second)
+			defer tick.Stop()
 			for {
 				select {
 				case <-ctx.Done():
 					return
-				case <-time.After(interval):
-					if *traceOut != "" {
-						if err := writeTraceCSV(*traceOut, mgr.Tracking().Points()); err != nil {
-							logger.Warnf("flushing %s: %v", *traceOut, err)
-						}
-					}
+				case <-tick.C:
 					if err := tracer.Flush(); err != nil {
 						logger.Warnf("flushing events: %v", err)
 					}
@@ -316,7 +331,8 @@ func main() {
 		}()
 	}
 
-	<-ctx.Done()
+	_ = mgr.Run(ctx) // until a signal; no tick runs after it returns
+
 	// Graceful drain: stop accepting, close every session (handlers
 	// journal byes and close ledger stints), then seal the durable state
 	// with a final flush + snapshot so the next generation recovers a
@@ -339,10 +355,7 @@ func main() {
 		}
 	}
 
-	pts := mgr.Tracking().Points()
-	sum := trace.Summarize(pts, units.Power(*reserve))
-	logger.Infof("%d tracking points, mean |err| %s, P90 err %.1f%%, constraint ok=%v",
-		sum.Points, sum.MeanAbsErr, 100*sum.P90Err, sum.WithinConstraint)
+	logger.Infof("%s", trackingSummary(registry, units.Power(*reserve)))
 	acct := led.SnapshotAt(time.Now().UnixMilli())
 	logger.Infof("energy: total %.0f J (jobs %.0f J, idle %.0f J), %d jobs opened, %d requeues, conserved=%v",
 		acct.TotalJoules, acct.JobsJoules, acct.IdleJoules, acct.Opens, acct.Requeues, acct.Conserved)
@@ -350,33 +363,21 @@ func main() {
 		v := sloEngine.Evaluate(time.Now())
 		logger.Infof("slo: %d fired, %d ok, %d no-data", v.Fired, v.OK, v.NoData)
 	}
-	if *traceOut != "" {
-		if err := writeTraceCSV(*traceOut, pts); err != nil {
-			fatalf("%v", err)
-		}
-		logger.Infof("wrote %s", *traceOut)
-	}
 }
 
-// writeTraceCSV atomically replaces path with the current series: the
-// periodic flusher and the shutdown path both call it, and readers never
-// see a torn file.
-func writeTraceCSV(path string, pts []trace.Point) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
+// trackingSummary renders the shutdown line from the reserve-relative
+// error histogram Tick fills. 0.3 is a bucket bound, so the count and the
+// ≤30 %-error-≥90 %-of-the-time verdict are exact; P90 is interpolated.
+func trackingSummary(r *obs.Registry, reserve units.Power) string {
+	h := r.Histogram("anord_tracking_error_ratio", "", obs.DefErrorBuckets)
+	n := h.Count()
+	if n == 0 {
+		return "0 tracking points"
 	}
-	if err := trace.WriteCSV(f, pts); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	mean := units.Power(h.Sum() * reserve.Watts() / float64(n))
+	within := float64(h.CountAtMost(0.30))/float64(n) >= 0.90
+	return fmt.Sprintf("%d tracking points, mean |err| %s, P90 err %.1f%% (bucket-interpolated), constraint ok=%v",
+		n, mean, 100*h.Quantile(0.9), within)
 }
 
 func budgeterByName(name string) (budget.Budgeter, error) {

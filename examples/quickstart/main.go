@@ -58,7 +58,7 @@ func main() {
 		100*(res.Slowdown-1), 100*(typ.MaxSlowdown-1))
 	fmt.Printf("virtual time elapsed: %s\n", v.Now().Sub(start).Round(time.Second))
 
-	pts := cluster.Manager().Tracking().Points()
+	pts := cluster.Tracking()
 	if len(pts) > 0 {
 		last := pts[len(pts)-1]
 		fmt.Printf("cluster tracking: target %s, measured %s at shutdown\n", last.Target, last.Measured)

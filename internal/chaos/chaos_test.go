@@ -11,6 +11,8 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,16 +46,33 @@ func typeModels() map[string]perfmodel.Model {
 	return out
 }
 
-// cluster is one live manager serving TCP plus its registry.
+// cluster is one live manager serving TCP plus its registry and the
+// tracking series its Track hook collects.
 type cluster struct {
 	mgr *clustermgr.Manager
 	reg *obs.Registry
 	ln  net.Listener
+
+	mu    sync.Mutex
+	track []trace.Point
+}
+
+func (c *cluster) record(p trace.Point) {
+	c.mu.Lock()
+	c.track = append(c.track, p)
+	c.mu.Unlock()
+}
+
+func (c *cluster) tracking() []trace.Point {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.track)
 }
 
 func startCluster(t *testing.T, ctx context.Context, heartbeat time.Duration, led *ledger.Ledger) *cluster {
 	t.Helper()
 	reg := obs.NewRegistry()
+	c := &cluster{reg: reg}
 	mgr, err := clustermgr.NewManager(clustermgr.Config{
 		Clock:            clock.Real{},
 		Budgeter:         budget.EvenSlowdown{},
@@ -67,6 +86,7 @@ func startCluster(t *testing.T, ctx context.Context, heartbeat time.Duration, le
 		WriteTimeout:     time.Second,
 		Metrics:          reg,
 		Ledger:           led,
+		Track:            c.record,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +97,8 @@ func startCluster(t *testing.T, ctx context.Context, heartbeat time.Duration, le
 	}
 	go mgr.Serve(ln)
 	go mgr.Run(ctx)
-	return &cluster{mgr: mgr, reg: reg, ln: ln}
+	c.mgr, c.ln = mgr, ln
+	return c
 }
 
 // startEndpoint runs one job-tier daemon dialing the cluster through
@@ -186,7 +207,7 @@ func cleanTailErr(t *testing.T) float64 {
 	waitFor(t, "clean cluster registers both jobs", func() bool { return cl.mgr.ActiveJobs() == 2 })
 	settle := time.Now().Add(200 * time.Millisecond)
 	time.Sleep(500 * time.Millisecond)
-	return tailMeanAbsErr(cl.mgr.Tracking().Points(), settle)
+	return tailMeanAbsErr(cl.tracking(), settle)
 }
 
 // TestChaosEndToEnd is the fault-injection acceptance test: seeded
@@ -301,7 +322,7 @@ func TestChaosEndToEnd(t *testing.T) {
 	// Steady state after the chaos: tracking error converges back to the
 	// fault-free level.
 	time.Sleep(500 * time.Millisecond)
-	faulted := tailMeanAbsErr(cl.mgr.Tracking().Points(), recovered.Add(200*time.Millisecond))
+	faulted := tailMeanAbsErr(cl.tracking(), recovered.Add(200*time.Millisecond))
 	if math.IsNaN(faulted) {
 		t.Fatal("no tracking points after recovery")
 	}

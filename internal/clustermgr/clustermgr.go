@@ -118,6 +118,10 @@ type Config struct {
 	// Reserve is the demand-response reserve used to normalize the
 	// tracking-error distribution; zero skips the relative histogram.
 	Reserve units.Power
+	// Track, when non-nil, receives each tick's (time, target, measured)
+	// point, synchronously from Tick. The manager keeps no series of its
+	// own: a caller that wants one owns its retention.
+	Track func(trace.Point)
 	// Log receives leveled diagnostics (job connects/disconnects, send
 	// failures). Nil disables.
 	Log *obs.Logger
@@ -250,8 +254,7 @@ type Manager struct {
 	walIdleNodes int
 	walIdleSet   bool
 
-	rec trace.Recorder
-	wg  sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // NewManager validates the configuration and constructs a manager.
@@ -296,10 +299,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	return m, nil
 }
-
-// Tracking returns the recorder holding the manager's (time, target,
-// measured) series.
-func (m *Manager) Tracking() *trace.Recorder { return &m.rec }
 
 // ActiveJobs returns the number of registered jobs.
 func (m *Manager) ActiveJobs() int {
@@ -744,7 +743,9 @@ func (m *Manager) Tick() {
 		m.append(rec)
 	}
 
-	m.rec.Record(trace.Point{Time: now, Target: target, Measured: measured})
+	if m.cfg.Track != nil {
+		m.cfg.Track(trace.Point{Time: now, Target: target, Measured: measured})
+	}
 	m.met.rebudgets.Inc()
 	m.met.target.Set(target.Watts())
 	m.met.measured.Set(measured.Watts())
@@ -770,9 +771,9 @@ func (m *Manager) Tick() {
 	}
 }
 
-// Run executes the control loop until ctx is cancelled, then waits for all
-// connection handlers to finish (their connections must be closed by the
-// peers or the listener owner). The loop runs under a pprof label so
+// Run executes the control loop until ctx is cancelled and returns once
+// the tick in flight, if any, has finished; connection handlers are left
+// running (close them, then Wait). The loop runs under a pprof label so
 // continuous CPU profiles attribute rebudget time to the control loop
 // rather than an anonymous goroutine.
 func (m *Manager) Run(ctx context.Context) error {

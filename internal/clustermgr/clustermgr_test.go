@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/proto"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -343,37 +345,69 @@ func TestHelloWithoutIDOrNodesIsRefused(t *testing.T) {
 	}
 }
 
+// trackLog is a Config.Track sink that keeps every point.
+type trackLog struct {
+	mu  sync.Mutex
+	pts []trace.Point
+}
+
+func (l *trackLog) record(p trace.Point) {
+	l.mu.Lock()
+	l.pts = append(l.pts, p)
+	l.mu.Unlock()
+}
+
+func (l *trackLog) points() []trace.Point {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.pts)
+}
+
+// TestTrackingRecordsIdleAndJobPower: the Track hook is called exactly
+// once per Tick, synchronously, with that tick's time, target and
+// measured power (idle nodes plus reported job power), whether or not any
+// session is connected.
 func TestTrackingRecordsIdleAndJobPower(t *testing.T) {
 	v := clock.NewVirtual(t0)
-	m, err := NewManager(testConfig(v, 2000))
+	var track trackLog
+	cfg := testConfig(v, 0)
+	cfg.Target = func(now time.Time) units.Power { return units.Power(2000 + now.Sub(t0).Seconds()) }
+	cfg.Track = track.record
+	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No jobs: measured power is 16 idle nodes × 70 W.
-	m.Tick()
-	pts := m.Tracking().Points()
-	if len(pts) != 1 {
-		t.Fatalf("points = %d", len(pts))
+	check := func(tick int, measured units.Power) {
+		t.Helper()
+		pts := track.points()
+		if len(pts) != tick {
+			t.Fatalf("after tick %d: %d points", tick, len(pts))
+		}
+		p := pts[tick-1]
+		if !p.Time.Equal(v.Now()) || p.Target != cfg.Target(v.Now()) || p.Measured != measured {
+			t.Errorf("tick %d: point %+v, want time %v target %v measured %v",
+				tick, p, v.Now(), cfg.Target(v.Now()), measured)
+		}
 	}
-	if pts[0].Measured != 16*70 {
-		t.Errorf("idle measured = %v, want 1120", pts[0].Measured)
-	}
-	if pts[0].Target != 2000 {
-		t.Errorf("target = %v", pts[0].Target)
-	}
+	m.Tick() // no sessions: the point still comes, carrying idle power
+	check(1, 16*70)
 
-	// One 2-node job reporting 400 W: 14 idle + job power.
 	j := attachFakeJob(t, m, "p", "bt.D.81", 2)
 	update := proto.ModelUpdateFor("p", workload.MustByName("bt").RelativeModel(), false)
-	update.PowerWatts = 400
+	update.PowerWatts = 300
 	if err := j.conn.Send(proto.Envelope{Kind: proto.KindModelUpdate, ModelUpdate: &update}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		m.Tick()
-		pts := m.Tracking().Points()
-		return pts[len(pts)-1].Measured == 14*70+400
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.jobs["p"].lastPower == 300
 	})
+	for tick := 2; tick <= 4; tick++ {
+		v.Advance(2 * time.Second)
+		m.Tick()
+		check(tick, 14*70+300)
+	}
 }
 
 func TestFreedPowerRebudgetedAfterJobDeath(t *testing.T) {

@@ -22,6 +22,8 @@ func TestLedgerAccountsJobsAndIdle(t *testing.T) {
 	cfg := testConfig(v, units.Power(14*70+300))
 	led := ledger.New()
 	cfg.Ledger = led
+	var track trackLog
+	cfg.Track = track.record
 	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +50,7 @@ func TestLedgerAccountsJobsAndIdle(t *testing.T) {
 	}
 	waitFor(t, func() bool {
 		m.Tick()
-		pts := m.Tracking().Points()
+		pts := track.points()
 		return pts[len(pts)-1].Measured == 14*70+400
 	})
 	m.Tick() // one more tick at t=2: the cap from the previous tick marks the job throttled

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,6 +26,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/proto"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -74,6 +76,9 @@ type Cluster struct {
 
 	mu        sync.Mutex
 	freeNodes []int
+	// track is the manager's tracking series, one point per tick. A
+	// run's horizon bounds it.
+	track []trace.Point
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -171,6 +176,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		TypeModels:   cfg.TypeModels,
 		DefaultModel: cfg.DefaultModel,
 		UseFeedback:  cfg.UseFeedback,
+		Track:        c.record,
 	})
 	if err != nil {
 		return nil, err
@@ -187,8 +193,19 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Manager exposes the cluster-tier manager (tracking series, job caps).
-func (c *Cluster) Manager() *clustermgr.Manager { return c.mgr }
+func (c *Cluster) record(p trace.Point) {
+	c.mu.Lock()
+	c.track = append(c.track, p)
+	c.mu.Unlock()
+}
+
+// Tracking returns a copy of the cluster's (time, target, measured)
+// series, one point per manager tick.
+func (c *Cluster) Tracking() []trace.Point {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.track)
+}
 
 // Clock returns the clock pacing the cluster.
 func (c *Cluster) Clock() clock.Clock { return c.cfg.Clock }

@@ -181,7 +181,7 @@ func TestTrackingRecorderPopulated(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	pts := c.Manager().Tracking().Points()
+	pts := c.Tracking()
 	if len(pts) < 5 {
 		t.Fatalf("tracking points = %d", len(pts))
 	}

@@ -150,6 +150,6 @@ func RunScheduled(cfg ScheduledRunConfig) (ScheduledRunResult, error) {
 		}
 	}
 
-	res.Tracking = cfg.Cluster.Manager().Tracking().Points()
+	res.Tracking = cfg.Cluster.Tracking()
 	return res, nil
 }

@@ -6,13 +6,15 @@
 // modeler records the seconds-per-epoch observed since the previous epoch
 // update together with the time-weighted average power cap applied over
 // that span. Once at least RetrainThreshold new epochs accumulate it
-// re-fits the quadratic model T = A·P² + B·P + C. Jobs that have reported
-// no epochs — or whose fits fail validation — fall back to a default
-// model, whose choice (least- vs most-sensitive known type) is the policy
-// knob §6.1.2 evaluates.
+// re-fits the quadratic model T = A·P² + B·P + C over its last
+// HistoryWindow observations. Jobs that have reported no epochs — or
+// whose fits fail validation — fall back to a default model, whose
+// choice (least- vs most-sensitive known type) is the policy knob §6.1.2
+// evaluates.
 package modeler
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -25,9 +27,31 @@ import (
 // new epochs since the last fit (§4.2).
 const DefaultRetrainThreshold = 10
 
-// DefaultCapTolerance is the default stable-cap window (watts) for
-// accepting an epoch span into the fit.
-const DefaultCapTolerance = 6
+const (
+	// HistoryWindow is how many observations the modeler keeps. The
+	// oldest is dropped when a new one would exceed it, so however long a
+	// job runs it holds at most about 0.5 MB of history and each refit
+	// does bounded work. The window sits above the longest history any
+	// figure or benchmark workload builds (under 2000) and the 10 000 the
+	// benchmark's modeler probe builds, so none of them sees another fit.
+	HistoryWindow = 16384
+
+	// CapTolerance is the largest cap swing (watts) allowed within one
+	// epoch span for the observation to enter the fit. Epochs that ran
+	// across a cap transition cannot be attributed to a single power
+	// level — fitting them flattens (or even inverts) the learned
+	// sensitivity, the asynchronous-sampling hazard §7.2 describes — so
+	// such spans are discarded.
+	CapTolerance = 6
+
+	// PhaseResidual is the relative deviation from the trained model that
+	// counts as a mismatch for phase-change detection.
+	PhaseResidual = 0.25
+
+	// PhaseStreak is how many consecutive mismatches trigger a phase
+	// reset.
+	PhaseStreak = 3
+)
 
 // Config parameterizes a Modeler.
 type Config struct {
@@ -37,29 +61,19 @@ type Config struct {
 	Default perfmodel.Model
 	// RetrainThreshold overrides DefaultRetrainThreshold when positive.
 	RetrainThreshold int
-	// MaxSamples bounds the observation history (FIFO eviction); zero
-	// means unbounded. Long jobs under a moving target accumulate
-	// observations indefinitely otherwise.
-	MaxSamples int
-	// CapTolerance is the largest cap swing (watts) allowed within one
-	// epoch span for the observation to enter the fit. Epochs that ran
-	// across a cap transition cannot be attributed to a single power
-	// level — fitting them flattens (or even inverts) the learned
-	// sensitivity, the asynchronous-sampling hazard §7.2 describes — so
-	// such spans are discarded. Defaults to DefaultCapTolerance.
-	CapTolerance float64
 	// DetectPhaseChange enables the §8 extension: when PhaseStreak
 	// consecutive observations each deviate from the current model by
 	// more than PhaseResidual (relative), the job is assumed to have
 	// entered a new power-sensitivity phase. The stale history is
 	// dropped and the model relearns from the recent observations.
 	DetectPhaseChange bool
-	// PhaseResidual is the relative deviation treated as a mismatch
-	// (default 0.25).
-	PhaseResidual float64
-	// PhaseStreak is how many consecutive mismatches trigger the reset
-	// (default 3).
-	PhaseStreak int
+}
+
+// observation is one epoch-bearing span of the history.
+type observation struct {
+	cap    float64 // time-weighted average cap over the span, watts
+	secs   float64 // seconds per epoch over the span
+	epochs int     // epochs in the span
 }
 
 // Modeler learns one job's power-performance model online.
@@ -67,10 +81,8 @@ type Modeler struct {
 	mu  sync.Mutex
 	cfg Config
 
-	// Observation history: one entry per epoch-bearing sample.
-	caps    []float64 // time-weighted average cap over the span, watts
-	times   []float64 // seconds per epoch over the span
-	weights []int     // epochs in the span
+	// hist holds the last HistoryWindow observations, oldest first.
+	hist []observation
 
 	// Cap integration between epoch updates.
 	haveLast    bool
@@ -139,22 +151,15 @@ func (m *Modeler) Observe(s geopm.Sample) {
 	}
 	span := s.Time.Sub(m.spanStart).Seconds()
 	epochs := int(s.EpochCount - m.lastEpoch)
-	tol := m.cfg.CapTolerance
-	if tol <= 0 {
-		tol = DefaultCapTolerance
-	}
-	if span > 0 && (m.spanCapMax-m.spanCapMin).Watts() <= tol {
-		avgCap := m.capIntegral / span
-		secsPerEpoch := span / float64(epochs)
-		m.maybePhaseReset(avgCap, secsPerEpoch)
-		m.caps = append(m.caps, avgCap)
-		m.times = append(m.times, secsPerEpoch)
-		m.weights = append(m.weights, epochs)
-		if m.cfg.MaxSamples > 0 && len(m.caps) > m.cfg.MaxSamples {
-			m.caps = m.caps[1:]
-			m.times = m.times[1:]
-			m.weights = m.weights[1:]
+	if span > 0 && (m.spanCapMax-m.spanCapMin).Watts() <= CapTolerance {
+		o := observation{cap: m.capIntegral / span, secs: span / float64(epochs), epochs: epochs}
+		m.maybePhaseReset(o)
+		if len(m.hist) == HistoryWindow {
+			// Drop the oldest. Once the array's tail is used up, append
+			// moves the window to a fresh one about 1.25× its size.
+			m.hist = m.hist[1:]
 		}
+		m.hist = append(m.hist, o)
 		m.newEpochs += epochs
 	}
 	m.spanStart = s.Time
@@ -171,47 +176,30 @@ func (m *Modeler) Observe(s geopm.Sample) {
 // observations inconsistent with the trained model means the job entered
 // a new phase, so the stale history is discarded and learning restarts.
 // Callers hold m.mu.
-func (m *Modeler) maybePhaseReset(avgCap, secsPerEpoch float64) {
+func (m *Modeler) maybePhaseReset(o observation) {
 	if !m.cfg.DetectPhaseChange || !m.trained {
 		return
 	}
-	residual := m.cfg.PhaseResidual
-	if residual <= 0 {
-		residual = 0.25
-	}
-	streak := m.cfg.PhaseStreak
-	if streak <= 0 {
-		streak = 3
-	}
-	predicted := m.fitted.TimeAt(units.Power(avgCap))
+	predicted := m.fitted.TimeAt(units.Power(o.cap))
 	if predicted <= 0 {
 		return
 	}
-	rel := secsPerEpoch/predicted - 1
-	if rel < 0 {
-		rel = -rel
-	}
-	if rel <= residual {
+	if math.Abs(o.secs/predicted-1) <= PhaseResidual {
 		m.mismatchStreak = 0
 		return
 	}
 	m.mismatchStreak++
-	if m.mismatchStreak < streak {
+	if m.mismatchStreak < PhaseStreak {
 		return
 	}
 	// Keep only the most recent mismatching observations: they belong to
 	// the new phase.
-	keep := m.mismatchStreak - 1
-	if keep > len(m.caps) {
-		keep = len(m.caps)
-	}
-	m.caps = append([]float64(nil), m.caps[len(m.caps)-keep:]...)
-	m.times = append([]float64(nil), m.times[len(m.times)-keep:]...)
-	m.weights = append([]int(nil), m.weights[len(m.weights)-keep:]...)
+	keep := min(m.mismatchStreak-1, len(m.hist))
+	m.hist = append([]observation(nil), m.hist[len(m.hist)-keep:]...)
 	m.trained = false
 	m.newEpochs = 0
-	for _, w := range m.weights {
-		m.newEpochs += w
+	for _, h := range m.hist {
+		m.newEpochs += h.epochs
 	}
 	m.mismatchStreak = 0
 	m.phaseResets++
@@ -229,10 +217,10 @@ func (m *Modeler) PhaseResets() int {
 func (m *Modeler) retrainLocked() {
 	m.newEpochs = 0
 	var xs, ys []float64
-	for i := range m.caps {
-		for w := 0; w < m.weights[i]; w++ {
-			xs = append(xs, m.caps[i])
-			ys = append(ys, m.times[i])
+	for _, h := range m.hist {
+		for w := 0; w < h.epochs; w++ {
+			xs = append(xs, h.cap)
+			ys = append(ys, h.secs)
 		}
 	}
 	// Online observations can reveal a wider achievable power range than
@@ -240,8 +228,8 @@ func (m *Modeler) retrainLocked() {
 	// low-power type that actually draws up to TDP); extend the fitted
 	// model's validity to cover every cap actually observed.
 	pMin, pMax := m.cfg.Default.PMin, m.cfg.Default.PMax
-	for _, x := range m.caps {
-		if p := units.Power(x); p < pMin {
+	for _, h := range m.hist {
+		if p := units.Power(h.cap); p < pMin {
 			pMin = p
 		} else if p > pMax {
 			pMax = p
@@ -305,7 +293,7 @@ func (m *Modeler) Refits() int {
 func (m *Modeler) Observations() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.caps)
+	return len(m.hist)
 }
 
 // DefaultPolicy selects the model assumed for a job whose type is unknown

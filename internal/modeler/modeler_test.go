@@ -148,14 +148,14 @@ func TestTimeWeightedAverageWithinTolerance(t *testing.T) {
 	m.Observe(geopm.Sample{EpochCount: 1, PowerCap: 204, Time: t0.Add(10 * time.Second)})
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.caps) != 1 {
-		t.Fatalf("observations = %d, want 1", len(m.caps))
+	if len(m.hist) != 1 {
+		t.Fatalf("observations = %d, want 1", len(m.hist))
 	}
-	if math.Abs(m.caps[0]-200.8) > 1e-9 {
-		t.Errorf("avg cap = %v, want 200.8", m.caps[0])
+	if math.Abs(m.hist[0].cap-200.8) > 1e-9 {
+		t.Errorf("avg cap = %v, want 200.8", m.hist[0].cap)
 	}
-	if math.Abs(m.times[0]-10) > 1e-9 {
-		t.Errorf("secs/epoch = %v, want 10", m.times[0])
+	if math.Abs(m.hist[0].secs-10) > 1e-9 {
+		t.Errorf("secs/epoch = %v, want 10", m.hist[0].secs)
 	}
 }
 
@@ -216,7 +216,11 @@ func TestNonMonotoneQuadraticFallsBackToLine(t *testing.T) {
 			m.Observe(geopm.Sample{EpochCount: epoch, PowerCap: c, Time: now})
 		}
 	}
-	q, _, err := perfmodel.Fit(m.caps, m.times, def.PMin, 280)
+	var xs, ys []float64
+	for _, h := range m.hist {
+		xs, ys = append(xs, h.cap), append(ys, h.secs)
+	}
+	q, _, err := perfmodel.Fit(xs, ys, def.PMin, 280)
 	if err != nil || q.Monotone(50) {
 		t.Fatalf("test data fit %v (err %v): want a non-monotone quadratic", q, err)
 	}
@@ -228,19 +232,41 @@ func TestNonMonotoneQuadraticFallsBackToLine(t *testing.T) {
 	}
 }
 
-func TestMaxSamplesEviction(t *testing.T) {
-	m, err := New(Config{Default: workload.MustByName("bt").Model(), RetrainThreshold: 1000, MaxSamples: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestHistoryWindowEviction: a job that outlives the window keeps
+// exactly HistoryWindow observations, drops the oldest first, and still
+// refits to its true curve afterwards. The first window's worth of
+// samples follows a curve twice as slow; only once those are evicted can
+// a fit land on the truth.
+func TestHistoryWindowEviction(t *testing.T) {
 	truth := workload.MustByName("bt").Model()
-	var caps []units.Power
-	for i := 0; i < 30; i++ {
-		caps = append(caps, units.Power(140+5*i))
+	m := newModeler(t, workload.MustByName("is").Model(), HistoryWindow)
+	now := t0
+	prev := units.Power(140)
+	m.Observe(geopm.Sample{EpochCount: 0, PowerCap: prev, Time: now})
+	// Four windows of samples; the cap moves every 16 epochs, so 15 in 16
+	// spans are stable and more than three windows of observations enter.
+	for i := 1; i <= 4*HistoryWindow; i++ {
+		curve := truth
+		if i <= HistoryWindow {
+			curve = truth.Scale(2)
+		}
+		now = now.Add(time.Duration(curve.TimeAt(prev) * float64(time.Second)))
+		c := units.Power(140 + 20*(i/16%8))
+		m.Observe(geopm.Sample{EpochCount: int64(i), PowerCap: c, Time: now})
+		prev = c
 	}
-	feed(m, truth, caps)
-	if got := m.Observations(); got != 8 {
-		t.Errorf("observations = %d, want capped at 8", got)
+	if got := m.Observations(); got != HistoryWindow {
+		t.Errorf("observations = %d, want the window %d", got, HistoryWindow)
+	}
+	if m.Refits() < 3 {
+		t.Fatalf("refits = %d, want ≥ 3 (one per window of epochs)", m.Refits())
+	}
+	got := m.Model()
+	for _, p := range []units.Power{150, 200, 250} {
+		want := truth.TimeAt(p)
+		if rel := math.Abs(got.TimeAt(p)-want) / want; rel > 0.02 {
+			t.Errorf("after eviction T(%v) = %v, want ≈%v", p, got.TimeAt(p), want)
+		}
 	}
 }
 

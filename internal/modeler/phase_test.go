@@ -92,7 +92,6 @@ func TestPhaseDetectionTolIgnoresNoise(t *testing.T) {
 		Default:           workload.MustByName("bt").Model(),
 		RetrainThreshold:  8,
 		DetectPhaseChange: true,
-		PhaseResidual:     0.25,
 	})
 	if err != nil {
 		t.Fatal(err)

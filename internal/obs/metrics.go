@@ -164,6 +164,16 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
+// CountAtMost returns how many observations were ≤ bound: exact when
+// bound is one of the bucket bounds, otherwise the count up to the
+// largest bound below it (0 on a nil receiver).
+func (h *Histogram) CountAtMost(bound float64) (n uint64) {
+	for i := 0; h != nil && i < len(h.bounds) && h.bounds[i] <= bound; i++ {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
 // Quantile estimates the q-th quantile (q in [0, 1]) with
 // BucketQuantile. Returns NaN on a nil or empty histogram or an
 // out-of-range q.

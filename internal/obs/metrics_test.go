@@ -45,6 +45,16 @@ func TestCounterGaugeHistogramSemantics(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d", i, got, w)
 		}
 	}
+	// Cumulative counts: exact at a bound (1 counts itself), the largest
+	// bound below otherwise.
+	for bound, want := range map[float64]uint64{0.5: 0, 1: 2, 1.5: 2, 2: 3, 4: 4, 1e9: 4} {
+		if got := h.CountAtMost(bound); got != want {
+			t.Errorf("CountAtMost(%v) = %d, want %d", bound, got, want)
+		}
+	}
+	if got := (*Histogram)(nil).CountAtMost(1); got != 0 {
+		t.Errorf("nil CountAtMost = %d", got)
+	}
 }
 
 func TestVecChildrenAndDelete(t *testing.T) {

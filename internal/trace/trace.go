@@ -1,4 +1,4 @@
-// Package trace records power-tracking time series and computes the
+// Package trace writes power-tracking time series and computes the
 // paper's tracking-error metrics (§4.4.2, §6.3): error is the distance
 // between measured and target power divided by the demand-response
 // reserve, and the constraint is that error stays under a threshold for a
@@ -6,11 +6,10 @@
 package trace
 
 import (
-	"encoding/csv"
+	"bufio"
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/stats"
@@ -25,35 +24,6 @@ type Point struct {
 	Target units.Power
 	// Measured is the cluster's measured power draw.
 	Measured units.Power
-}
-
-// Recorder accumulates points. It is safe for concurrent use.
-type Recorder struct {
-	mu     sync.Mutex
-	points []Point
-}
-
-// Record appends one point.
-func (r *Recorder) Record(p Point) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.points = append(r.points, p)
-}
-
-// Points returns a copy of the recorded series.
-func (r *Recorder) Points() []Point {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Point, len(r.points))
-	copy(out, r.points)
-	return out
-}
-
-// Len returns the number of recorded points.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.points)
 }
 
 // Errors computes the per-point tracking error |measured − target| /
@@ -114,27 +84,36 @@ func Summarize(points []Point, reserve units.Power) Summary {
 	return s
 }
 
-// WriteCSV emits the series as time_s,target_w,measured_w rows with a
-// header, timestamps relative to the first point.
+// CSVWriter streams a tracking series as CSV: a time_s,target_w,measured_w
+// header, then one row per point with its timestamp relative to the
+// first point written. Each row reaches the underlying writer in one
+// Write call, so a file holds every row written so far.
+type CSVWriter struct {
+	w  io.Writer
+	t0 time.Time
+}
+
+// NewCSVWriter writes the header to w and returns a writer for the rows.
+func NewCSVWriter(w io.Writer) (*CSVWriter, error) {
+	_, err := io.WriteString(w, "time_s,target_w,measured_w\n")
+	return &CSVWriter{w: w}, err
+}
+
+// Write emits one row.
+func (c *CSVWriter) Write(p Point) error {
+	if c.t0.IsZero() { // a zero first time leaves t0 zero, which is still that time
+		c.t0 = p.Time
+	}
+	_, err := fmt.Fprintf(c.w, "%.3f,%.1f,%.1f\n", p.Time.Sub(c.t0).Seconds(), p.Target.Watts(), p.Measured.Watts())
+	return err
+}
+
+// WriteCSV emits a whole series through a CSVWriter.
 func WriteCSV(w io.Writer, points []Point) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_s", "target_w", "measured_w"}); err != nil {
-		return err
-	}
-	var t0 time.Time
-	if len(points) > 0 {
-		t0 = points[0].Time
-	}
+	bw := bufio.NewWriter(w)
+	c, _ := NewCSVWriter(bw)
 	for _, p := range points {
-		rec := []string{
-			fmt.Sprintf("%.3f", p.Time.Sub(t0).Seconds()),
-			fmt.Sprintf("%.1f", p.Target.Watts()),
-			fmt.Sprintf("%.1f", p.Measured.Watts()),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		_ = c.Write(p)
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush() // bufio.Writer keeps the first write error
 }

@@ -4,33 +4,11 @@ import (
 	"bytes"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-
-func TestRecorderConcurrent(t *testing.T) {
-	var r Recorder
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.Record(Point{Time: t0, Target: 1000, Measured: 990})
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Len() != 800 {
-		t.Errorf("Len = %d, want 800", r.Len())
-	}
-	if len(r.Points()) != 800 {
-		t.Errorf("Points len mismatch")
-	}
-}
 
 func TestErrorsReserveRelative(t *testing.T) {
 	// §4.4.2's worked example: 10 kW miss on a 100 kW reserve = 10%.
