@@ -739,9 +739,7 @@ func (m *Manager) Tick() {
 		j.lastCap = caps[i]
 	}
 	m.mu.Unlock()
-	for _, rec := range recs {
-		m.append(rec)
-	}
+	m.append(recs...)
 
 	if m.cfg.Track != nil {
 		m.cfg.Track(trace.Point{Time: now, Target: target, Measured: measured})

@@ -18,13 +18,14 @@ import (
 	"repro/internal/units"
 )
 
-// append journals one record, nil-safe and outside any manager lock.
-func (m *Manager) append(rec durable.Record) {
-	if m.cfg.Store == nil {
+// append journals records in one store call, nil-safe and outside any
+// manager lock.
+func (m *Manager) append(recs ...durable.Record) {
+	if m.cfg.Store == nil || len(recs) == 0 {
 		return
 	}
-	if err := m.cfg.Store.Append(rec); err != nil {
-		m.cfg.Log.Warnf("durable: wal append (%s) failed: %v", rec.Kind, err)
+	if err := m.cfg.Store.Append(recs...); err != nil {
+		m.cfg.Log.Warnf("durable: wal append of %d records failed: %v", len(recs), err)
 	}
 }
 

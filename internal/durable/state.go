@@ -182,6 +182,9 @@ type replayer struct {
 	// records applied (valid kind, passed sanity checks).
 	applied int
 	skipped int
+	// rec is the record applyPayload decodes into, reused so that
+	// neither decoder allocates one per payload.
+	rec Record
 }
 
 func newReplayer(st *ControlState) *replayer {
@@ -195,15 +198,16 @@ func newReplayer(st *ControlState) *replayer {
 	return rp
 }
 
-// applyPayload decodes one WAL payload. Undecodable or insane payloads
+// applyPayload decodes one WAL payload: the canonical form directly,
+// anything else through json.Unmarshal. Undecodable or insane payloads
 // are counted and skipped — replay must survive arbitrary bytes.
 func (rp *replayer) applyPayload(payload []byte) {
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	rec := &rp.rec
+	if !decodeRecord(payload, rec) && json.Unmarshal(payload, rec) != nil {
 		rp.skipped++
 		return
 	}
-	rp.apply(rec)
+	rp.apply(*rec)
 }
 
 func (rp *replayer) apply(rec Record) {

@@ -128,6 +128,9 @@ type Store struct {
 	lastSync time.Time // wall clock; only used for flush pacing
 	lastSnap time.Time
 	closed   bool
+	// wbuf holds the frame appendLocked encodes; it is not kept above
+	// maxKeptBuf.
+	wbuf []byte
 
 	recovery Recovery
 }
@@ -226,7 +229,7 @@ func Open(opt Options) (*Store, *Recovery, error) {
 	if err := s.openSegment(); err != nil {
 		return nil, nil, err
 	}
-	if err := s.appendLocked(epochRec); err != nil {
+	if err := s.appendLocked(&epochRec); err != nil {
 		s.f.Close()
 		return nil, nil, err
 	}
@@ -295,10 +298,12 @@ func (s *Store) openSegment() error {
 // Epoch is this generation's fencing epoch.
 func (s *Store) Epoch() uint64 { return s.epoch }
 
-// Append logs one record. Durability is bounded by FlushEvery: the
-// record is buffered and synced when the window expires (or immediately
-// when FlushEvery ≤ 0).
-func (s *Store) Append(rec Record) error {
+// Append logs records, in order, under one lock. Durability is bounded
+// by FlushEvery: the records are buffered and synced when the window
+// expires (or before Append returns when FlushEvery ≤ 0). A record that
+// fails, such as one with a NaN or infinite float, is dropped; the rest
+// are still logged and the first error is returned.
+func (s *Store) Append(recs ...Record) error {
 	if s == nil {
 		return nil
 	}
@@ -307,21 +312,31 @@ func (s *Store) Append(rec Record) error {
 	if s.closed {
 		return os.ErrClosed
 	}
-	if err := s.appendLocked(rec); err != nil {
-		return err
+	var err error
+	for i := range recs {
+		if e := s.appendLocked(&recs[i]); err == nil {
+			err = e
+		}
 	}
 	if s.opt.FlushEvery <= 0 || time.Since(s.lastSync) >= s.opt.FlushEvery {
-		return s.syncLocked()
+		if e := s.syncLocked(); err == nil {
+			err = e
+		}
 	}
-	return nil
+	return err
 }
 
-func (s *Store) appendLocked(rec Record) error {
-	payload, err := json.Marshal(rec)
+// appendLocked encodes rec straight into its frame in s.wbuf and buffers
+// the frame for the segment.
+func (s *Store) appendLocked(rec *Record) error {
+	frame, err := appendRecord(append(s.wbuf[:0], make([]byte, frameHeader)...), rec)
 	if err != nil {
 		return err
 	}
-	frame := appendFrame(nil, payload)
+	sealFrame(frame)
+	if cap(frame) <= maxKeptBuf {
+		s.wbuf = frame
+	}
 	if _, err := s.w.Write(frame); err != nil {
 		return err
 	}

@@ -12,6 +12,13 @@
 // process generation writes a fresh segment (never appends after a torn
 // tail) and bumps a monotonic controller epoch used to fence superseded
 // controllers out of the actuation path.
+//
+// A WAL record's payload is the compact JSON json.Marshal writes for a
+// Record, encoded without reflection straight into the store's reused
+// frame buffer (see internal/jsonc); the bytes are json.Marshal's, so
+// segments written before and after read the same. Replay parses that
+// canonical form directly and hands any other payload to json.Unmarshal,
+// so what a payload restores does not depend on which path read it.
 package durable
 
 import (
@@ -43,13 +50,25 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // destroyed); the whole file is skipped.
 var errBadMagic = errors.New("durable: bad file magic")
 
+// maxKeptBuf is the largest frame buffer a writer or a scan keeps for
+// its next frame, so one outsized record does not pin its memory.
+const maxKeptBuf = 64 << 10
+
 // appendFrame appends one CRC frame for payload to dst.
 func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, payload...)
+	sealFrame(dst[start:])
+	return dst
+}
+
+// sealFrame fills in the header of frame, whose payload follows its
+// first frameHeader bytes.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeader:]
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:frameHeader], crc32.Checksum(payload, crcTable))
 }
 
 // scanResult says how a frame scan ended.
@@ -65,7 +84,8 @@ type scanResult struct {
 // scanFrames reads magic-prefixed CRC frames from r, calling fn on each
 // whole, checksum-valid payload. It stops at the first torn or corrupt
 // frame and reports how it stopped; only real I/O errors (and fn errors)
-// are returned as errors.
+// are returned as errors. Payloads are read into one reused buffer, so
+// fn must copy out whatever it keeps before it returns.
 func scanFrames(r io.Reader, magic string, fn func(payload []byte) error) (scanResult, error) {
 	var res scanResult
 	head := make([]byte, len(magic))
@@ -80,6 +100,7 @@ func scanFrames(r io.Reader, magic string, fn func(payload []byte) error) (scanR
 		return res, errBadMagic
 	}
 	var hdr [frameHeader]byte
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if err == io.EOF {
@@ -96,7 +117,13 @@ func scanFrames(r io.Reader, magic string, fn func(payload []byte) error) (scanR
 			res.corrupt = true
 			return res, nil
 		}
-		payload := make([]byte, n)
+		if uint32(cap(buf)) < n {
+			buf = make([]byte, max(int(n), 4<<10)) // one buffer serves every ordinary record
+		}
+		payload := buf[:n]
+		if cap(buf) > maxKeptBuf {
+			buf = nil
+		}
 		if _, err := io.ReadFull(r, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				res.torn = true

@@ -3,6 +3,8 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -106,5 +108,35 @@ func TestScanBadMagic(t *testing.T) {
 	_, err := scanFrames(bytes.NewReader([]byte("NOTMAGIC")), walMagic, nil)
 	if err != errBadMagic {
 		t.Fatalf("err = %v, want errBadMagic", err)
+	}
+}
+
+// TestScanReusesPayloadBuffer: small frames are read into one buffer, a
+// frame above maxKeptBuf still surfaces whole, and the frames after it
+// are not read into its buffer.
+func TestScanReusesPayloadBuffer(t *testing.T) {
+	big := strings.Repeat("x", 2*maxKeptBuf)
+	var ptrs []*byte
+	var caps []int
+	var got []string
+	_, err := scanFrames(bytes.NewReader(frames("one", "two", big, "three", "four")), walMagic, func(p []byte) error {
+		ptrs = append(ptrs, &p[0])
+		caps = append(caps, cap(p))
+		got = append(got, string(p))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"one", "two", big, "three", "four"}; !reflect.DeepEqual(got, want) {
+		t.Fatal("payloads differ from the frames written")
+	}
+	if ptrs[0] != ptrs[1] || ptrs[3] != ptrs[4] {
+		t.Error("small payloads were not read into one reused buffer")
+	}
+	for _, i := range []int{3, 4} {
+		if caps[i] > maxKeptBuf {
+			t.Errorf("frame %d read into a kept %d-byte buffer", i, caps[i])
+		}
 	}
 }
