@@ -49,10 +49,16 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 // that cannot count the goroutines it paces calls Settle before each
 // Step.
 //
+// Now is lock-free, so the thousands of simulated packages that read the
+// clock on every register access never contend for it. Advance and Step
+// publish the new time before they fire the first waiter: a goroutine
+// they wake reads the post-advance time from Now, never an earlier one.
+//
 // The zero value is not usable; create one with NewVirtual.
 type Virtual struct {
+	now atomic.Pointer[time.Time] // stored only under mu
+
 	mu      sync.Mutex
-	now     time.Time
 	waiters waiterHeap
 	seq     int // tiebreak so equal deadlines fire FIFO
 	blocked int // waiters currently enqueued; see WaitForWaiters
@@ -87,17 +93,17 @@ func (h *waiterHeap) Pop() any     { old := *h; n := len(old); w := old[n-1]; *h
 
 // NewVirtual returns a virtual clock starting at the given time.
 func NewVirtual(start time.Time) *Virtual {
-	v := &Virtual{now: start}
+	v := &Virtual{}
+	v.publish(start)
 	v.cond = sync.NewCond(&v.mu)
 	return v
 }
 
 // Now returns the virtual time.
-func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
-}
+func (v *Virtual) Now() time.Time { return *v.now.Load() }
+
+// publish makes t the time Now returns. Callers hold v.mu.
+func (v *Virtual) publish(t time.Time) { v.now.Store(&t) }
 
 // After returns a channel that fires when the virtual clock reaches
 // now+d. Non-positive durations fire immediately with the current time.
@@ -105,11 +111,12 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	now := v.Now()
 	if d <= 0 {
-		ch <- v.now
+		ch <- now
 		return ch
 	}
-	heap.Push(&v.waiters, waiter{at: v.now.Add(d), seq: v.seq, ch: ch})
+	heap.Push(&v.waiters, waiter{at: now.Add(d), seq: v.seq, ch: ch})
 	v.seq++
 	v.blocked++
 	if v.woken > 0 {
@@ -136,11 +143,13 @@ func (v *Virtual) Advance(d time.Duration) int {
 	if d < 0 {
 		d = 0
 	}
-	target := v.now.Add(d)
+	target := v.Now().Add(d)
+	if d > 0 {
+		v.publish(target)
+	}
 	fired := 0
 	for len(v.waiters) > 0 && !v.waiters[0].at.After(target) {
 		w := heap.Pop(&v.waiters).(waiter)
-		v.now = w.at
 		w.ch <- w.at
 		v.blocked--
 		fired++
@@ -148,7 +157,6 @@ func (v *Virtual) Advance(d time.Duration) int {
 	if v.tracking {
 		v.woken += fired
 	}
-	v.now = target
 	return fired
 }
 
@@ -162,6 +170,9 @@ func (v *Virtual) Step() bool {
 		return false
 	}
 	at := v.waiters[0].at
+	if at.After(v.Now()) {
+		v.publish(at)
+	}
 	for len(v.waiters) > 0 && v.waiters[0].at.Equal(at) {
 		w := heap.Pop(&v.waiters).(waiter)
 		w.ch <- w.at
@@ -169,9 +180,6 @@ func (v *Virtual) Step() bool {
 		if v.tracking {
 			v.woken++
 		}
-	}
-	if at.After(v.now) {
-		v.now = at
 	}
 	return true
 }

@@ -2,12 +2,16 @@ package geopm
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/nodesim"
+	"repro/internal/obs"
+	"repro/internal/units"
 )
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -91,64 +95,88 @@ func TestCapRange(t *testing.T) {
 	}
 }
 
-func TestTreeStructure(t *testing.T) {
-	tr := NewTree(7, 2)
-	if tr.Parent(0) != -1 {
-		t.Error("root parent != -1")
-	}
-	// Binary tree over 7: children of 0 are 1,2; of 1 are 3,4; of 2 are 5,6.
-	if c := tr.Children(0); len(c) != 2 || c[0] != 1 || c[1] != 2 {
-		t.Errorf("Children(0) = %v", c)
-	}
-	if c := tr.Children(2); len(c) != 2 || c[0] != 5 || c[1] != 6 {
-		t.Errorf("Children(2) = %v", c)
-	}
-	if c := tr.Children(3); len(c) != 0 {
-		t.Errorf("leaf has children: %v", c)
-	}
-	if d := tr.Depth(); d != 3 {
-		t.Errorf("Depth = %d, want 3", d)
-	}
+// orderClock is one node's view of a shared virtual clock that logs the
+// node's ID whenever a package reads the time, as each package does when
+// a cap lands on its PKG_POWER_LIMIT register.
+type orderClock struct {
+	*clock.Virtual
+	id  int
+	log *[]int
 }
 
-func TestTreeParentChildConsistency(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 16, 33} {
-		for _, fanout := range []int{2, 3, 8} {
-			tr := NewTree(n, fanout)
-			for i := 0; i < n; i++ {
-				for _, c := range tr.Children(i) {
-					if tr.Parent(c) != i {
-						t.Errorf("n=%d f=%d: Parent(%d) = %d, want %d", n, fanout, c, tr.Parent(c), i)
-					}
-				}
-			}
+func (c orderClock) Now() time.Time {
+	*c.log = append(*c.log, c.id)
+	return c.Virtual.Now()
+}
+
+func TestEnforceAllWalksLevelOrderSkippingFailed(t *testing.T) {
+	v := clock.NewVirtual(t0)
+	var log []int
+	const n, dead = 11, 4
+	pios := make([]*PlatformIO, n)
+	for i := range pios {
+		pios[i] = NewPlatformIO(nodesim.NewNode(i, nodesim.Config{Clock: orderClock{v, i, &log}}))
+	}
+	pios[dead].Node().Fail()
+	rt, err := NewRuntime(RuntimeConfig{PIOs: pios, Endpoint: NewEndpoint(), Clock: v, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Advance(time.Second)
+	log = log[:0]
+	live, err := rt.enforceAll(170)
+	if err != nil || live != n-1 {
+		t.Fatalf("enforceAll = %d, %v; want %d live, nil", live, err, n-1)
+	}
+	if got := rt.metNodeErrs.Value(); got != 1 {
+		t.Errorf("node errors counted = %d, want 1", got)
+	}
+	// The tree is heap-indexed, so its level order is index order: each
+	// live node's two packages take the cap in turn, the dead one's none.
+	var want []int
+	for i := 0; i < n; i++ {
+		if i != dead {
+			want = append(want, i, i)
 		}
 	}
-}
-
-func TestTreeLevelsCoverAllAgents(t *testing.T) {
-	tr := NewTree(16, 3)
-	seen := map[int]bool{}
-	for _, level := range tr.Levels() {
-		for _, i := range level {
-			if seen[i] {
-				t.Fatalf("agent %d appears twice in levels", i)
-			}
-			seen[i] = true
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Errorf("caps landed in node order %v, want %v", log, want)
+	}
+	for i, pio := range pios {
+		wantCap := units.Power(170)
+		if i == dead {
+			wantCap = nodesim.PackageTDP * nodesim.PackagesPerNode
+		}
+		if got := pio.Node().PowerLimit(); got != wantCap {
+			t.Errorf("node %d cap = %v, want %v", i, got, wantCap)
 		}
 	}
-	if len(seen) != 16 {
-		t.Errorf("levels covered %d agents, want 16", len(seen))
+
+	for _, pio := range pios {
+		pio.Node().Fail()
+	}
+	if live, err := rt.enforceAll(170); live != 0 || !errors.Is(err, nodesim.ErrNodeDown) {
+		t.Errorf("all nodes down: enforceAll = %d, %v; want 0, ErrNodeDown", live, err)
 	}
 }
 
-func TestTreeDegenerateInputs(t *testing.T) {
-	tr := NewTree(0, 0)
-	if tr.Size() != 1 || tr.Fanout() != 2 {
-		t.Errorf("degenerate tree = %+v", tr)
+func TestEnforcedCapFailsOnDeadNode(t *testing.T) {
+	v := clock.NewVirtual(t0)
+	pio := newPIO(v, 0)
+	a := NewAgent(pio)
+	if err := a.Enforce(160); err != nil {
+		t.Fatal(err)
 	}
-	if d := tr.Depth(); d != 1 {
-		t.Errorf("single-agent depth = %d", d)
+	pio.Node().Fail()
+	if got, err := a.EnforcedCap(); !errors.Is(err, nodesim.ErrNodeDown) {
+		t.Errorf("EnforcedCap on a dead node = %v, %v; want ErrNodeDown", got, err)
+	}
+	if _, err := pio.ReadSignal(SignalCPUEnergy); !errors.Is(err, nodesim.ErrNodeDown) {
+		t.Errorf("CPU_ENERGY on a dead node err = %v, want ErrNodeDown", err)
+	}
+	pio.Node().Recover()
+	if got, err := a.EnforcedCap(); err != nil || got != nodesim.PackageTDP*nodesim.PackagesPerNode {
+		t.Errorf("EnforcedCap after recovery = %v, %v; want TDP", got, err)
 	}
 }
 

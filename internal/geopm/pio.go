@@ -2,11 +2,11 @@
 // Power Manager (GEOPM) runtime the paper builds on (§4.3, §5.4): a
 // platform I/O layer exposing named signals and controls backed by RAPL
 // MSRs, per-node agents in the style of the modified power_governor agent,
-// a per-job agent tree that fans power caps out to every node and
-// aggregates epoch/energy state back up, the endpoint interface through
-// which a job-tier process writes policies and reads samples, epoch
-// profiling (geopm_prof_epoch), and per-job reports with Application
-// Totals.
+// a per-job agent tree that fans power caps out to every node (in the
+// tree's level order, which is agent index order) and aggregates
+// epoch/energy state back up, the endpoint interface through which a
+// job-tier process writes policies and reads samples, epoch profiling
+// (geopm_prof_epoch), and per-job reports with Application Totals.
 //
 // The backing hardware is the nodesim register-level simulation; everything
 // above PlatformIO is hardware-agnostic, as in real GEOPM.
@@ -59,7 +59,9 @@ func NewPlatformIO(node *nodesim.Node) *PlatformIO {
 func (p *PlatformIO) Node() *nodesim.Node { return p.node }
 
 // ReadSignal reads a named signal. CPU_ENERGY unwraps the 32-bit MSR
-// counters into monotonic joules summed across packages.
+// counters into monotonic joules summed across packages; CPU_POWER_LIMIT
+// sums the packages' PKG_POWER_LIMIT registers. Both fail with
+// nodesim.ErrNodeDown on a fail-stopped node.
 func (p *PlatformIO) ReadSignal(name string) (float64, error) {
 	switch name {
 	case SignalCPUEnergy:
@@ -75,7 +77,15 @@ func (p *PlatformIO) ReadSignal(name string) (float64, error) {
 		}
 		return total, nil
 	case SignalCPUPowerLimit:
-		return p.node.PowerLimit().Watts(), nil
+		var total float64
+		for _, pkg := range p.node.Packages {
+			raw, err := pkg.ReadMSR(nodesim.MSRPkgPowerLimit)
+			if err != nil {
+				return 0, err
+			}
+			total += float64(raw) * nodesim.PowerUnit
+		}
+		return total, nil
 	default:
 		return 0, fmt.Errorf("geopm: unknown signal %q", name)
 	}

@@ -31,8 +31,6 @@ type RuntimeConfig struct {
 	Clock clock.Clock
 	// Period overrides DefaultControlPeriod when positive.
 	Period time.Duration
-	// Fanout sets the communication tree arity (default 2).
-	Fanout int
 	// InitialCap is enforced on attach before any policy arrives; zero
 	// means leave hardware at TDP.
 	InitialCap units.Power
@@ -50,7 +48,6 @@ type RuntimeConfig struct {
 // node and publishes aggregated samples back (§4.3).
 type Runtime struct {
 	cfg    RuntimeConfig
-	tree   Tree
 	agents []*Agent
 
 	metFanout    *obs.Histogram
@@ -93,10 +90,7 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	if cfg.Period <= 0 {
 		cfg.Period = DefaultControlPeriod
 	}
-	r := &Runtime{
-		cfg:  cfg,
-		tree: NewTree(len(cfg.PIOs), cfg.Fanout),
-	}
+	r := &Runtime{cfg: cfg}
 	if cfg.Metrics != nil {
 		r.metFanout = cfg.Metrics.HistogramVec("geopm_cap_fanout_seconds",
 			"Latency of enforcing a fresh policy across the agent tree.", obs.DefLatencyBuckets, "job").With(cfg.JobID)
@@ -155,23 +149,24 @@ func (r *Runtime) RecordAppTotals(appSeconds float64, epochs int) {
 }
 
 // enforceAll fans a per-node cap out through the communication tree, level
-// by level, as the root agent does when a new policy arrives. Nodes that
-// reject the enforcement — fail-stopped hosts whose MSR device files
-// vanished — are skipped and counted, so one dead node never blocks the
-// policy from reaching the live ones. It returns how many nodes accepted
-// the cap; the error is non-nil only when every node failed.
+// by level, as the root agent does when a new policy arrives. The tree is
+// heap-indexed (agent 0 is the root; for arity k the children of i are
+// i·k+1 … i·k+k), so its level order is agent index order whatever k is,
+// and the walk needs no tree structure at all. Nodes that reject the
+// enforcement — fail-stopped hosts whose MSR device files vanished — are
+// skipped and counted, so one dead node never blocks the policy from
+// reaching the live ones. It returns how many nodes accepted the cap; the
+// error is non-nil only when every node failed.
 func (r *Runtime) enforceAll(cap units.Power) (int, error) {
 	live := 0
 	var lastErr error
-	for _, level := range r.tree.Levels() {
-		for _, idx := range level {
-			if err := r.agents[idx].Enforce(cap); err != nil {
-				lastErr = err
-				r.metNodeErrs.Inc()
-				continue
-			}
-			live++
+	for _, a := range r.agents {
+		if err := a.Enforce(cap); err != nil {
+			lastErr = err
+			r.metNodeErrs.Inc()
+			continue
 		}
+		live++
 	}
 	if live == 0 {
 		return 0, lastErr
@@ -215,7 +210,9 @@ func (r *Runtime) tick(now time.Time) error {
 			}
 		}
 		r.metPolicies.Inc()
-		sp.SetJob(r.cfg.JobID).Set("cap_w", cap.Watts()).Set("nodes", len(r.agents)).End()
+		if sp != nil { // the fields' boxing allocates even on a nil span
+			sp.SetJob(r.cfg.JobID).Set("cap_w", cap.Watts()).Set("nodes", len(r.agents)).End()
+		}
 	}
 
 	// Sample every live node; a node that errors (fail-stopped host) is

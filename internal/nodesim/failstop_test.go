@@ -2,6 +2,9 @@ package nodesim
 
 import (
 	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,5 +83,45 @@ func TestRecoverIsAFreshBoot(t *testing.T) {
 	v.Advance(time.Second)
 	if got := n.EnergyJoules(); got <= 0 {
 		t.Errorf("recovered node accrued no energy (%v J)", got)
+	}
+}
+
+// TestWriteMSRNeverLandsOnFailedPackage hammers PKG_POWER_LIMIT writes
+// while the package fail-stops: once Fail returns, no write may change
+// the limit until Recover, and every later write fails.
+func TestWriteMSRNeverLandsOnFailedPackage(t *testing.T) {
+	v := clock.NewVirtual(t0)
+	p := newTestNode(v).Packages[0]
+	const writers = 4
+	for round := 0; round < 100; round++ {
+		p.Recover()
+		var stop atomic.Bool
+		var started, wg sync.WaitGroup
+		started.Add(writers)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				started.Done()
+				// Distinct caps, 70–139.875 W, so a stray write shows.
+				for i := w; !stop.Load(); i += writers {
+					_ = p.WriteMSR(MSRPkgPowerLimit, uint64(560+i%560))
+				}
+			}(w)
+		}
+		started.Wait()
+		p.Fail()
+		limit := p.Limit()
+		for i := 0; i < 100; i++ {
+			runtime.Gosched()
+		}
+		if err := p.WriteMSR(MSRPkgPowerLimit, 600); !errors.Is(err, ErrNodeDown) {
+			t.Fatalf("round %d: write after Fail err = %v, want ErrNodeDown", round, err)
+		}
+		stop.Store(true)
+		wg.Wait()
+		if got := p.Limit(); got != limit {
+			t.Fatalf("round %d: limit of a failed package moved from %v to %v", round, limit, got)
+		}
 	}
 }

@@ -220,15 +220,19 @@ func (p *Package) ReadMSR(addr uint32) (uint64, error) {
 }
 
 // WriteMSR writes a register, enforcing the msr-safe allowlist.
-// PKG_ENERGY_STATUS is read-only, as on hardware.
+// PKG_ENERGY_STATUS is read-only, as on hardware. The failure check and
+// the write are one critical section, so a cap never lands on a package
+// that Fail powered off.
 func (p *Package) WriteMSR(addr uint32, val uint64) error {
-	if p.Failed() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.failed {
 		return ErrNodeDown
 	}
 	switch addr {
 	case MSRPkgPowerLimit:
-		watts := float64(val&powerLimitMask) * PowerUnit
-		p.SetLimit(units.Power(watts))
+		p.settle()
+		p.limit = units.Power(float64(val&powerLimitMask)*PowerUnit).Clamp(PackageMinCap, PackageTDP)
 		return nil
 	case MSRPkgEnergyStatus:
 		return fmt.Errorf("nodesim: MSR 0x%x is read-only", addr)
